@@ -5,20 +5,18 @@ from .bestresponse import (CessionPartialSet, NonpositiveInput,
                            NonpositivePremium, PartialSet, ReinsurerSide,
                            cession_partials, insurer_response, phi,
                            phi_partials, phi_prime, reinsurer_side)
-from .equilibrium import (ExistenceVerdict, NoEquilibrium, SolverConfig,
-                          SolverFailure, existence, limit_profile, residual,
-                          solve)
-from .model import (DEFAULT_PARAMS, CessionPair, Equilibrium, ModelParams,
-                    PremiumPair, ValidationResult, params_from_json,
-                    params_to_json, validate)
+from .equilibrium import (ExistenceVerdict, NoEquilibrium, SolverFailure,
+                          existence, limit_profile, residual, solve)
+from .model import (DEFAULT_PARAMS, CessionPair, Equilibrium, InvalidParams,
+                    ModelParams, PremiumPair, ValidationResult,
+                    params_from_json, params_to_json, validate)
 from .mcsim import (DeviationReport, Scheme, SimConfig, SimReport,
                     deviation_test, gaussian_utility_insurer,
                     gaussian_utility_reinsurer, simulate_utilities)
 from .sensitivity import (DegenerateDenominator, Method, SensitivityReport,
                           analytic_report, cession_sensitivity,
                           finite_difference_report, theta_sensitivity)
-from .valuation import (f0_rate, fi_rate, premium_identity_gap,
-                        reinsurer_rate, value_insurer, value_reinsurer,
-                        welfare_index)
+from .valuation import (f0_rate, premium_identity_gap, reinsurer_rate,
+                        value_insurer, value_reinsurer, welfare_index)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

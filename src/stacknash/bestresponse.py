@@ -34,6 +34,8 @@ class ReinsurerSide:
     own_delta: float
     rival_weight: float
     delta0: float
+    position: int = 0  # index of this reinsurer in a (reinsurer 1, 2) pair
+    y0: float = 0.0  # initial relative performance x_i - lambda_j*x_j
 
     def __post_init__(self):
         if self.own_delta <= 0 or self.delta0 <= 0:
@@ -41,15 +43,27 @@ class ReinsurerSide:
         if self.rival_weight < 0:
             raise ValueError("rival_weight must be nonnegative")
 
+    def own_rival(self, first, second):
+        """(own, rival) from a pair in reinsurer order (1, 2); self-inverse."""
+        pair = (first, second)
+        return pair[self.position], pair[1 - self.position]
+
 
 def reinsurer_side(params: ModelParams, i: int) -> ReinsurerSide:
     """Side of reinsurer ``i`` (1 or 2); the rival weight is the *other*
     reinsurer's competition degree."""
     if i == 1:
-        return ReinsurerSide(params.delta1, params.lambda2, params.delta0)
+        return ReinsurerSide(params.delta1, params.lambda2, params.delta0, 0,
+                             params.x1 - params.lambda2 * params.x2)
     if i == 2:
-        return ReinsurerSide(params.delta2, params.lambda1, params.delta0)
+        return ReinsurerSide(params.delta2, params.lambda1, params.delta0, 1,
+                             params.x2 - params.lambda1 * params.x1)
     raise ValueError(f"reinsurer index must be 1 or 2, got {i}")
+
+
+def cession_denominator(delta0, t1, t2):
+    """D = d0*t1 + d0*t2 + 2*t1*t2, the insurer-response denominator."""
+    return delta0 * t1 + delta0 * t2 + 2.0 * t1 * t2
 
 
 def insurer_response(delta0: float, theta: PremiumPair) -> CessionPair:
@@ -61,7 +75,7 @@ def insurer_response(delta0: float, theta: PremiumPair) -> CessionPair:
     t1, t2 = theta.theta1, theta.theta2
     if t1 <= 0 or t2 <= 0:
         raise NonpositivePremium(f"premium loadings must be positive: {theta}")
-    denom = delta0 * t1 + delta0 * t2 + 2.0 * t1 * t2
+    denom = cession_denominator(delta0, t1, t2)
     return CessionPair(p1=delta0 * t2 / denom, p2=delta0 * t1 / denom)
 
 
@@ -83,13 +97,14 @@ def phi(side: ReinsurerSide, x):
     """Reinsurer's best-response loading given the rival's loading ``x``.
 
     Strictly increasing and strictly concave, with horizontal asymptote
-    own_delta + delta0/2. A zero rival weight uses the algebraically reduced
-    form, which is also defined at x = 0 (value own_delta).
+    own_delta + delta0/2. A zero rival weight uses the reduced form
+    asymptote - delta0^2 / (2*(2x + delta0)), which is also defined at x = 0
+    (value own_delta) and stays nondecreasing in x under rounding.
     """
     _check_domain(side, x)
     d0, di, w = side.delta0, side.own_delta, side.rival_weight
     if w == 0.0:
-        return ((d0 + 2.0 * di) * x + d0 * di) / (2.0 * x + d0)
+        return di + 0.5 * d0 - 0.5 * d0 * d0 / (2.0 * x + d0)
     num = (d0 + 2.0 * di) * x * x + (1.0 + w) * d0 * di * x
     return num / _denominator(side, x)
 
@@ -109,16 +124,14 @@ def phi_prime(side: ReinsurerSide, x):
 
 @dataclass(frozen=True)
 class PartialSet:
-    """Partial derivatives of phi in the five behavioral parameters.
+    """Partial derivatives of phi in the behavioral parameters it contains.
 
-    ``d_delta_rival`` and ``d_lambda_own`` are identically zero: phi does not
-    contain the rival's risk aversion or the player's own competition degree.
+    The partials in the rival's risk aversion and in the player's own
+    competition degree are identically zero and therefore not stored.
     """
 
     d_delta0: float
     d_delta_own: float
-    d_delta_rival: float
-    d_lambda_own: float
     d_lambda_rival: float
 
 
@@ -135,9 +148,7 @@ def phi_partials(side: ReinsurerSide, x) -> PartialSet:
     d_w = -(2.0 * (d0 * d0 + 2.0 * d0 * di + 2.0 * di * di) * x ** 3
             + 2.0 * d0 * di * (d0 + 2.0 * di) * (1.0 + w) * x * x
             + d0 * d0 * di * di * (1.0 + w) ** 2 * x) / den2
-    zero = 0.0 * x  # broadcasts for array inputs
-    return PartialSet(d_delta0=d_d0, d_delta_own=d_own, d_delta_rival=zero,
-                      d_lambda_own=zero, d_lambda_rival=d_w)
+    return PartialSet(d_delta0=d_d0, d_delta_own=d_own, d_lambda_rival=d_w)
 
 
 @dataclass(frozen=True)
@@ -161,7 +172,7 @@ def cession_partials(delta0: float, theta: PremiumPair) -> CessionPartialSet:
     t1, t2 = theta.theta1, theta.theta2
     if t1 <= 0 or t2 <= 0:
         raise NonpositivePremium(f"premium loadings must be positive: {theta}")
-    den2 = (2.0 * t1 * t2 + delta0 * (t1 + t2)) ** 2
+    den2 = cession_denominator(delta0, t1, t2) ** 2
     return CessionPartialSet(
         dp1_delta0=2.0 * t1 * t2 * t2 / den2,
         dp1_theta1=-delta0 * t2 * (delta0 + 2.0 * t2) / den2,

@@ -2,8 +2,7 @@
 
 All structured output is JSON or RFC-4180 CSV and is a deterministic function
 of the inputs (and the seed, where applicable). Numbers in CSV output carry
-12 significant digits. The STACKNASH_THREADS environment variable caps the
-parallelism of sweep-row evaluation.
+12 significant digits.
 """
 
 from __future__ import annotations
@@ -12,17 +11,15 @@ import argparse
 import csv
 import io
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import mcsim, sensitivity, valuation
-from .equilibrium import (ExistenceVerdict, NoEquilibrium, existence, residual,
-                          solve)
-from .model import DEFAULT_PARAMS, Equilibrium, ModelParams, params_from_json, validate
+from .bestresponse import reinsurer_side
+from .equilibrium import NoEquilibrium, residual, solve
+from .model import (DEFAULT_PARAMS, Equilibrium, InvalidParams, ModelParams,
+                    params_from_json, validate)
 
 SWEEP_HEADER = ("param", "theta1", "theta2", "p1", "p2", "f0_rate",
                 "f1_idx", "f2_idx", "dtheta1", "dtheta2", "dp1", "dp2")
@@ -53,46 +50,36 @@ def _load_params(path: str) -> ModelParams:
     params = params_from_json(Path(path).read_text())
     result = validate(params)
     if not result.ok:
-        raise ValueError("; ".join(result.errors))
+        raise InvalidParams(result.errors)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return params
 
 
-def _equilibrium_payload(params: ModelParams, eq: Equilibrium) -> dict:
-    return {
-        "theta1": eq.theta_star.theta1,
-        "theta2": eq.theta_star.theta2,
-        "p1": eq.p_star.p1,
-        "p2": eq.p_star.p2,
-        "residual": eq.residual,
-        "f0_rate": eq.f0_rate,
-        "f1_rate": eq.f1_rate,
-        "f2_rate": eq.f2_rate,
-        "iterations": eq.iterations,
-    }
+def _equilibrium_payload(eq: Equilibrium) -> dict:
+    payload = {**asdict(eq.theta_star), **asdict(eq.p_star)}
+    for name in ("residual", "f0_rate", "f1_rate", "f2_rate", "iterations"):
+        payload[name] = getattr(eq, name)
+    return payload
 
 
 def cmd_solve(args) -> int:
-    try:
-        params = _load_params(args.params)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    params = _load_params(args.params)
     try:
         eq = solve(params)
     except NoEquilibrium as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
-    print(json.dumps(_equilibrium_payload(params, eq)))
+    print(json.dumps(_equilibrium_payload(eq)))
     return 0
 
 
 def _sweep_row(base: ModelParams, parameter: str, value: float) -> list[str]:
     params = replace(base, **{parameter: value})
-    if existence(params.lambda1, params.lambda2) is not ExistenceVerdict.EXISTS:
+    try:
+        eq = solve(params)
+    except NoEquilibrium:
         return [_fmt(value), "no-equilibrium"] + [""] * (len(SWEEP_HEADER) - 2)
-    eq = solve(params)
     report = sensitivity.analytic_report(params, eq, parameter)
     return [_fmt(v) for v in (
         value,
@@ -106,14 +93,6 @@ def _sweep_row(base: ModelParams, parameter: str, value: float) -> list[str]:
     )]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("STACKNASH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _render_sweep(base: ModelParams, parameter: str, start: float,
                   stop: float, steps: int) -> str:
     if steps < 2:
@@ -121,12 +100,7 @@ def _render_sweep(base: ModelParams, parameter: str, start: float,
     if not start < stop:
         raise ValueError("sweep range must satisfy from < to")
     values = [start + (stop - start) * k / (steps - 1) for k in range(steps)]
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(base, parameter, v), values))
-    else:
-        rows = [_sweep_row(base, parameter, v) for v in values]
+    rows = [_sweep_row(base, parameter, v) for v in values]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(SWEEP_HEADER)
@@ -135,12 +109,8 @@ def _render_sweep(base: ModelParams, parameter: str, start: float,
 
 
 def cmd_sweep(args) -> int:
-    try:
-        base = _load_params(args.params) if args.params else DEFAULT_PARAMS
-        text = _render_sweep(base, args.param, args.start, args.stop, args.steps)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    base = _load_params(args.params) if args.params else DEFAULT_PARAMS
+    text = _render_sweep(base, args.param, args.start, args.stop, args.steps)
     body = text.splitlines()[1:]
     if all(line.split(",")[1] == "no-equilibrium" for line in body):
         print("error: no grid point admits an equilibrium", file=sys.stderr)
@@ -154,14 +124,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_figures(args) -> int:
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, (parameter, start, stop) in FIGURE_SWEEPS.items():
-            text = _render_sweep(DEFAULT_PARAMS, parameter, start, stop, args.steps)
-            (out_dir / f"{name}.csv").write_text(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, spec in FIGURE_SWEEPS.items():
+        text = _render_sweep(DEFAULT_PARAMS, *spec, args.steps)
+        (out_dir / f"{name}.csv").write_text(text)
     return 0
 
 
@@ -178,30 +144,23 @@ def _verify_checks(params: ModelParams, eq: Equilibrium, seed: int,
     gap = valuation.premium_identity_gap(params, eq.theta_star)
     add("value-rate-identity", abs(gap) <= 1e-12, f"gap={gap:.3e}")
 
-    closed = valuation.value_insurer(params, eq, 0.0, params.x0)
+    closed = {"insurer": valuation.value_insurer(params, eq, 0.0, params.x0)}
     oracle = mcsim.gaussian_utility_insurer(params, eq.theta_star, eq.p_star)
-    rel = abs(closed - oracle) / abs(oracle)
+    rel = abs(closed["insurer"] - oracle) / abs(oracle)
     add("insurer-value-vs-gaussian", rel <= 1e-12, f"rel={rel:.3e}")
 
     for i in (1, 2):
-        y = (params.x1 - params.lambda2 * params.x2) if i == 1 \
-            else (params.x2 - params.lambda1 * params.x1)
-        closed = valuation.value_reinsurer(params, eq, i, 0.0, y)
+        y = reinsurer_side(params, i).y0
+        value = valuation.value_reinsurer(params, eq, i, 0.0, y)
+        closed[f"reinsurer{i}"] = value
         oracle = mcsim.gaussian_utility_reinsurer(params, eq.theta_star, i)
-        rel = abs(closed - oracle) / abs(oracle)
+        rel = abs(value - oracle) / abs(oracle)
         add(f"reinsurer{i}-value-vs-gaussian", rel <= 1e-8, f"rel={rel:.3e}")
 
     config = mcsim.SimConfig(paths=paths, seed=seed)
     reports = mcsim.simulate_utilities(params, eq.theta_star, eq.p_star, config)
-    targets = {
-        "insurer": valuation.value_insurer(params, eq, 0.0, params.x0),
-        "reinsurer1": valuation.value_reinsurer(
-            params, eq, 1, 0.0, params.x1 - params.lambda2 * params.x2),
-        "reinsurer2": valuation.value_reinsurer(
-            params, eq, 2, 0.0, params.x2 - params.lambda1 * params.x1),
-    }
     for player, report in reports.items():
-        err = abs(report.estimate - targets[player])
+        err = abs(report.estimate - closed[player])
         bound = 3.0 * report.std_error
         add(f"mc-{player}", err <= bound,
             f"err={err:.3e} bound={bound:.3e}")
@@ -214,24 +173,12 @@ def _verify_checks(params: ModelParams, eq: Equilibrium, seed: int,
 
 
 def cmd_verify(args) -> int:
-    try:
-        params = _load_params(args.params)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    params = _load_params(args.params)
     try:
         eq = solve(params)
     except NoEquilibrium as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.tamper:
-        # Debug harness self-test: inject a non-equilibrium candidate.
-        theta = replace(eq.theta_star, theta1=eq.theta_star.theta1 + 0.1)
-        from .bestresponse import insurer_response
-        eq = replace(eq, theta_star=theta,
-                     p_star=insurer_response(params.delta0, theta),
-                     residual=residual(params, theta))
-
     checks = _verify_checks(params, eq, args.seed, args.paths)
     passed = all(c["passed"] for c in checks)
     for check in checks:
@@ -241,7 +188,7 @@ def cmd_verify(args) -> int:
         "params": json.loads(Path(args.params).read_text()),
         "seed": args.seed,
         "paths": args.paths,
-        "equilibrium": _equilibrium_payload(params, eq),
+        "equilibrium": _equilibrium_payload(eq),
         "checks": checks,
         "passed": passed,
     }))
@@ -272,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--params", required=True)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--paths", type=int, default=100_000)
-    p_verify.add_argument("--tamper", action="store_true",
-                          help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_figures = sub.add_parser("figures", help="emit every figure dataset as CSV")
@@ -285,8 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; unreadable or invalid input exits with status 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

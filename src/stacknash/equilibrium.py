@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 from scipy.optimize import brentq
 
 from . import valuation
 from .bestresponse import insurer_response, phi, reinsurer_side
-from .model import Equilibrium, ModelParams, PremiumPair
+from .model import (Equilibrium, InvalidParams, ModelParams, PremiumPair,
+                    validate)
 
 
 class NoEquilibrium(RuntimeError):
@@ -24,22 +25,12 @@ class NoEquilibrium(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """The bracket unexpectedly contained no sign change."""
+    """The bracket held no sign change, or the root missed the tolerance."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tolerance: float = 1e-12
-    max_iterations: int = 200
-    bracket_floor: float = 1e-12
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.bracket_floor <= 0:
-            raise ValueError("bracket_floor must be positive")
+_TOLERANCE = 1e-12  # largest accepted fixed-point residual
+_MAX_ITERATIONS = 200
+_BRACKET_FLOOR = 1e-12  # lower end of the root bracket for theta1
 
 
 class ExistenceVerdict(enum.Enum):
@@ -65,50 +56,56 @@ def _closed_form_zero_lambda(params: ModelParams) -> PremiumPair:
     return PremiumPair(theta1=t1, theta2=t2)
 
 
-def residual(params: ModelParams, theta: PremiumPair) -> float:
-    """Fixed-point defect |t1 - phi1(t2)| + |t2 - phi2(t1)|."""
-    side1 = reinsurer_side(params, 1)
-    side2 = reinsurer_side(params, 2)
+def _defect(side1, side2, theta: PremiumPair) -> float:
     return abs(theta.theta1 - phi(side1, theta.theta2)) \
         + abs(theta.theta2 - phi(side2, theta.theta1))
 
 
-def solve(params: ModelParams, config: SolverConfig = SolverConfig()) -> Equilibrium:
+def residual(params: ModelParams, theta: PremiumPair) -> float:
+    """Fixed-point defect |t1 - phi1(t2)| + |t2 - phi2(t1)|."""
+    return _defect(reinsurer_side(params, 1), reinsurer_side(params, 2), theta)
+
+
+def solve(params: ModelParams) -> Equilibrium:
     """Solve for the unique equilibrium of the two-layer game.
 
-    Raises NoEquilibrium when lambda1*lambda2 >= 1 and SolverFailure if the
-    bracket carries no sign change (unreachable for valid parameters; surfaced
-    rather than masked). The loadings depend only on the five behavioral
-    parameters; mu, sigma, c, horizon and initial surpluses enter the value
-    rates only.
+    Raises InvalidParams when :func:`validate` reports an error,
+    NoEquilibrium when lambda1*lambda2 >= 1, and SolverFailure if the
+    bracket carries no sign change or the residual misses its tolerance;
+    SolverFailure is reachable near the existence boundary (e.g. lambda1 =
+    0.5, lambda2 = 2 - 1e-14), where the root falls below the bracket floor.
+    The loadings depend only on the five behavioral parameters; mu, sigma,
+    c, horizon and initial surpluses enter the value rates only.
     """
+    checked = validate(params)
+    if not checked.ok:
+        raise InvalidParams(checked.errors)
     if existence(params.lambda1, params.lambda2) is not ExistenceVerdict.EXISTS:
         raise NoEquilibrium("no equilibrium: lambda1*lambda2 >= 1")
 
+    side1 = reinsurer_side(params, 1)
+    side2 = reinsurer_side(params, 2)
     if params.lambda1 == 0.0 and params.lambda2 == 0.0:
         theta = _closed_form_zero_lambda(params)
         iterations = 0
     else:
-        side1 = reinsurer_side(params, 1)
-        side2 = reinsurer_side(params, 2)
-
         def gap(t1: float) -> float:
             return phi(side1, phi(side2, t1)) - t1
 
-        lo = config.bracket_floor
+        lo = _BRACKET_FLOOR
         hi = params.delta1 + params.delta0 / 2.0 + 1.0
         if gap(lo) <= 0.0 or gap(hi) >= 0.0:
             raise SolverFailure(
                 f"no sign change of the fixed-point gap on [{lo}, {hi}]")
         t1, info = brentq(gap, lo, hi, xtol=1e-15, rtol=8.881784197001252e-16,
-                          maxiter=config.max_iterations, full_output=True)
+                          maxiter=_MAX_ITERATIONS, full_output=True)
         theta = PremiumPair(theta1=t1, theta2=phi(side2, t1))
         iterations = info.iterations
 
-    defect = residual(params, theta)
-    if defect > config.tolerance:
-        raise SolverFailure(
-            f"fixed-point residual {defect:.3e} exceeds tolerance {config.tolerance:.3e}")
+    defect = _defect(side1, side2, theta)
+    if defect > _TOLERANCE:
+        raise SolverFailure(f"fixed-point residual {defect:.3e} exceeds "
+                            f"tolerance {_TOLERANCE:.3e}")
 
     p_star = insurer_response(params.delta0, theta)
     return Equilibrium(
@@ -122,8 +119,8 @@ def solve(params: ModelParams, config: SolverConfig = SolverConfig()) -> Equilib
     )
 
 
-def limit_profile(params: ModelParams, epsilons: list[float],
-                  config: SolverConfig = SolverConfig()) -> list[tuple[float, float, float, float]]:
+def limit_profile(params: ModelParams, epsilons: list[float]
+                  ) -> list[tuple[float, float, float, float]]:
     """Equilibria along the existence boundary: lambda2 = (1 - eps) / lambda1.
 
     Returns rows (eps, theta1*, theta2*, p1* + p2*). As eps decreases toward 0
@@ -131,13 +128,11 @@ def limit_profile(params: ModelParams, epsilons: list[float],
     """
     if params.lambda1 <= 0:
         raise ValueError("limit_profile requires lambda1 > 0")
-    from dataclasses import replace
-
     rows = []
     for eps in epsilons:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {eps}")
-        eq = solve(replace(params, lambda2=(1.0 - eps) / params.lambda1), config)
+        eq = solve(replace(params, lambda2=(1.0 - eps) / params.lambda1))
         rows.append((eps, eq.theta_star.theta1, eq.theta_star.theta2,
                      eq.p_star.p1 + eq.p_star.p2))
     return rows

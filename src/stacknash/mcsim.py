@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bestresponse import insurer_response
+from .bestresponse import (ReinsurerSide, cession_denominator,
+                           reinsurer_side)
 from .model import CessionPair, Equilibrium, ModelParams, PremiumPair
 
 
@@ -42,8 +43,6 @@ class SimConfig:
 class SimReport:
     estimate: float
     std_error: float
-    paths: int
-    seed: int
 
 
 def _utility(delta: float, mean, variance):
@@ -73,29 +72,28 @@ def gaussian_utility_insurer(params: ModelParams, theta: PremiumPair,
     return float(_utility(params.delta0, mean, var))
 
 
-def _reinsurer_constants(params: ModelParams, i: int):
-    if i == 1:
-        return params.delta1, params.lambda2, params.x1, params.x2
-    if i == 2:
-        return params.delta2, params.lambda1, params.x2, params.x1
-    raise ValueError(f"reinsurer index must be 1 or 2, got {i}")
+def _relative_coefficients(params: ModelParams, side: ReinsurerSide,
+                           theta_i, theta_j):
+    """Drift and diffusion of a reinsurer's relative performance when the
+    insurer best-responds to its loading theta_i and the rival's theta_j."""
+    d0, lj = params.delta0, side.rival_weight
+    t1, t2 = side.own_rival(theta_i, theta_j)  # back to pair order
+    denom = cession_denominator(d0, t1, t2)
+    p_i = d0 * theta_j / denom
+    p_j = d0 * theta_i / denom
+    s2 = params.sigma ** 2
+    drift = s2 * (theta_i * p_i * p_i - lj * theta_j * p_j * p_j)
+    return drift, params.sigma * (p_i - lj * p_j)
 
 
 def reinsurer_terminal_moments(params: ModelParams, theta_i, theta_j,
                                i: int, t: float = 0.0, y: float | None = None):
     """Mean and variance of reinsurer i's terminal relative performance when
     the insurer best-responds to the loadings (theta_i, theta_j)."""
-    di, lj, xi, xj = _reinsurer_constants(params, i)
+    side = reinsurer_side(params, i)
+    drift, diffusion = _relative_coefficients(params, side, theta_i, theta_j)
     tau = params.horizon - t
-    if y is None:
-        y = xi - lj * xj
-    d0 = params.delta0
-    denom = d0 * theta_i + d0 * theta_j + 2.0 * theta_i * theta_j
-    p_i = d0 * theta_j / denom
-    p_j = d0 * theta_i / denom
-    s2 = params.sigma ** 2
-    drift = s2 * (theta_i * p_i * p_i - lj * theta_j * p_j * p_j)
-    diffusion = params.sigma * (p_i - lj * p_j)
+    y = side.y0 if y is None else y
     return y + drift * tau, diffusion * diffusion * tau
 
 
@@ -104,11 +102,10 @@ def gaussian_utility_reinsurer(params: ModelParams, theta: PremiumPair,
                                y: float | None = None) -> float:
     """Exact expected utility of reinsurer i's terminal relative performance,
     with the insurer playing its best response to ``theta``."""
-    theta_i = theta.theta1 if i == 1 else theta.theta2
-    theta_j = theta.theta2 if i == 1 else theta.theta1
-    di = params.delta1 if i == 1 else params.delta2
+    side = reinsurer_side(params, i)
+    theta_i, theta_j = side.own_rival(theta.theta1, theta.theta2)
     mean, var = reinsurer_terminal_moments(params, theta_i, theta_j, i, t, y)
-    return float(_utility(di, mean, var))
+    return float(_utility(side.own_delta, mean, var))
 
 
 def brownian_total_increments(params: ModelParams, config: SimConfig) -> np.ndarray:
@@ -146,24 +143,18 @@ def relative_performance_samples(params: ModelParams, theta: PremiumPair,
     """Terminal relative performance of reinsurer i simulated directly from
     its own dynamics, with the insurer best-responding to ``theta``. Pathwise
     identical (same seed) to forming X_i - w_i X_j from the joint simulation."""
-    di, lj, xi, xj = _reinsurer_constants(params, i)
-    p = insurer_response(params.delta0, theta)
-    p_i, p_j = (p.p1, p.p2) if i == 1 else (p.p2, p.p1)
-    t_i = theta.theta1 if i == 1 else theta.theta2
-    t_j = theta.theta2 if i == 1 else theta.theta1
+    side = reinsurer_side(params, i)
+    t_i, t_j = side.own_rival(theta.theta1, theta.theta2)
+    drift, diffusion = _relative_coefficients(params, side, t_i, t_j)
     w = brownian_total_increments(params, config)
-    tau = params.horizon
-    s2 = params.sigma ** 2
-    drift = s2 * (t_i * p_i * p_i - lj * t_j * p_j * p_j)
-    return (xi - lj * xj) + drift * tau - params.sigma * (p_i - lj * p_j) * w
+    return side.y0 + drift * params.horizon - diffusion * w
 
 
-def _report(samples: np.ndarray, config: SimConfig) -> SimReport:
+def _report(samples: np.ndarray) -> SimReport:
     estimate = float(samples.mean())
     spread = float(samples.std(ddof=1)) if len(samples) > 1 else 0.0
     return SimReport(estimate=estimate,
-                     std_error=spread / math.sqrt(len(samples)),
-                     paths=config.paths, seed=config.seed)
+                     std_error=spread / math.sqrt(len(samples)))
 
 
 def simulate_utilities(params: ModelParams, theta: PremiumPair,
@@ -171,14 +162,15 @@ def simulate_utilities(params: ModelParams, theta: PremiumPair,
     """Seeded Monte Carlo estimates of each player's expected utility under
     constant strategies; keys 'insurer', 'reinsurer1', 'reinsurer2'."""
     x0, x1, x2 = terminal_surplus_samples(params, theta, p, config)
-    y1 = x1 - params.lambda2 * x2
-    y2 = x2 - params.lambda1 * x1
-    d0, d1, d2 = params.delta0, params.delta1, params.delta2
-    return {
-        "insurer": _report(-np.exp(-d0 * x0) / d0, config),
-        "reinsurer1": _report(-np.exp(-d1 * y1) / d1, config),
-        "reinsurer2": _report(-np.exp(-d2 * y2) / d2, config),
-    }
+    d0 = params.delta0
+    reports = {"insurer": _report(-np.exp(-d0 * x0) / d0)}
+    for i in (1, 2):
+        side = reinsurer_side(params, i)
+        x_own, x_rival = side.own_rival(x1, x2)
+        y = x_own - side.rival_weight * x_rival
+        di = side.own_delta
+        reports[f"reinsurer{i}"] = _report(-np.exp(-di * y) / di)
+    return reports
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,6 @@ class DeviationReport:
     reinsurer1_margin: float
     reinsurer2_margin: float
     improving_deviations: int
-    grid_step: float
 
     @property
     def worst_margin(self) -> float:
@@ -211,9 +202,9 @@ def _insurer_margin(params: ModelParams, theta: PremiumPair,
 
 def _reinsurer_margin(params: ModelParams, theta: PremiumPair,
                       i: int, step: float) -> float:
-    di = params.delta1 if i == 1 else params.delta2
-    t_i = theta.theta1 if i == 1 else theta.theta2
-    t_j = theta.theta2 if i == 1 else theta.theta1
+    side = reinsurer_side(params, i)
+    di = side.own_delta
+    _, t_j = side.own_rival(theta.theta1, theta.theta2)
     grid = np.arange(step, di + params.delta0 / 2.0 + 0.5 * step, step)
     mean, var = reinsurer_terminal_moments(params, grid, t_j, i)
     candidates = _utility(di, mean, var)
@@ -237,5 +228,4 @@ def deviation_test(params: ModelParams, eq: Equilibrium,
         reinsurer1_margin=margins[1],
         reinsurer2_margin=margins[2],
         improving_deviations=sum(1 for m in margins if m > 0.0),
-        grid_step=grid_step,
     )

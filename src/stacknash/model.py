@@ -88,6 +88,14 @@ class ValidationResult:
         return not self.errors
 
 
+class InvalidParams(ValueError):
+    """Parameters that :func:`validate` rejects; ``errors`` lists why."""
+
+    def __init__(self, errors: tuple[str, ...]):
+        super().__init__("; ".join(errors))
+        self.errors = errors
+
+
 def validate(params: ModelParams) -> ValidationResult:
     """Check field invariants; returns errors and warnings, never raises.
 

@@ -10,15 +10,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .bestresponse import (cession_partials, phi_partials, phi_prime,
-                           reinsurer_side)
-from .equilibrium import SolverConfig, solve
+from .bestresponse import (ReinsurerSide, cession_partials, phi_partials,
+                           phi_prime, reinsurer_side)
+from .equilibrium import solve
 from .model import Equilibrium, ModelParams
 
 PARAMETERS = ("delta0", "delta1", "delta2", "lambda1", "lambda2")
 
 #: Central-difference step; balances truncation error against solver noise
-#: at the default solver tolerance of 1e-12.
+#: at the solver's residual tolerance of 1e-12.
 DEFAULT_STEP = 1e-5
 
 
@@ -42,19 +42,16 @@ class SensitivityReport:
     method: Method
 
 
-def _phi_parameter_partial(params: ModelParams, i: int, parameter: str, x: float) -> float:
-    """Partial of reinsurer i's best-response map in one behavioral parameter,
-    at fixed argument x. Two of the five partials vanish identically."""
-    ps = phi_partials(reinsurer_side(params, i), x)
-    own_delta = f"delta{i}"
-    rival_lambda = "lambda2" if i == 1 else "lambda1"
-    if parameter == "delta0":
-        return ps.d_delta0
-    if parameter == own_delta:
-        return ps.d_delta_own
-    if parameter == rival_lambda:
-        return ps.d_lambda_rival
-    return 0.0
+def _phi_parameter_partial(side: ReinsurerSide, parameter: str,
+                           x: float) -> float:
+    """Partial of a reinsurer's best-response map in one behavioral
+    parameter, at fixed argument x. Two of the five vanish identically."""
+    ps = phi_partials(side, x)
+    own_delta, _ = side.own_rival("delta1", "delta2")
+    _, rival_lambda = side.own_rival("lambda1", "lambda2")
+    partials = {"delta0": ps.d_delta0, own_delta: ps.d_delta_own,
+                rival_lambda: ps.d_lambda_rival}
+    return partials.get(parameter, 0.0)
 
 
 def theta_sensitivity(params: ModelParams, eq: Equilibrium,
@@ -67,14 +64,15 @@ def theta_sensitivity(params: ModelParams, eq: Equilibrium,
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown parameter {parameter!r}")
     t1, t2 = eq.theta_star.theta1, eq.theta_star.theta2
-    g1 = phi_prime(reinsurer_side(params, 1), t2)
-    g2 = phi_prime(reinsurer_side(params, 2), t1)
+    side1, side2 = reinsurer_side(params, 1), reinsurer_side(params, 2)
+    g1 = phi_prime(side1, t2)
+    g2 = phi_prime(side2, t1)
     denom = 1.0 - g1 * g2
     if denom <= 1e-10:
         raise DegenerateDenominator(
             f"1 - phi1'*phi2' = {denom:.3e}; too close to the existence boundary")
-    dphi1 = _phi_parameter_partial(params, 1, parameter, t2)
-    dphi2 = _phi_parameter_partial(params, 2, parameter, t1)
+    dphi1 = _phi_parameter_partial(side1, parameter, t2)
+    dphi2 = _phi_parameter_partial(side2, parameter, t1)
     d_t1 = (g1 * dphi2 + dphi1) / denom
     d_t2 = (g2 * dphi1 + dphi2) / denom
     return d_t1, d_t2
@@ -87,31 +85,30 @@ def cession_sensitivity(params: ModelParams, eq: Equilibrium,
     No global sign holds for these; the direct delta0 effect and the induced
     loading effects can pull in opposite directions.
     """
+    report = analytic_report(params, eq, parameter)
+    return report.d_p1, report.d_p2
+
+
+def analytic_report(params: ModelParams, eq: Equilibrium,
+                    parameter: str) -> SensitivityReport:
+    """Analytic loading and (by the chain rule) cession sensitivities."""
     d_t1, d_t2 = theta_sensitivity(params, eq, parameter)
     cp = cession_partials(params.delta0, eq.theta_star)
     direct1 = cp.dp1_delta0 if parameter == "delta0" else 0.0
     direct2 = cp.dp2_delta0 if parameter == "delta0" else 0.0
     d_p1 = direct1 + cp.dp1_theta1 * d_t1 + cp.dp1_theta2 * d_t2
     d_p2 = direct2 + cp.dp2_theta1 * d_t1 + cp.dp2_theta2 * d_t2
-    return d_p1, d_p2
-
-
-def analytic_report(params: ModelParams, eq: Equilibrium,
-                    parameter: str) -> SensitivityReport:
-    d_t1, d_t2 = theta_sensitivity(params, eq, parameter)
-    d_p1, d_p2 = cession_sensitivity(params, eq, parameter)
     return SensitivityReport(parameter, d_t1, d_t2, d_p1, d_p2, Method.ANALYTIC)
 
 
 def finite_difference_report(params: ModelParams, parameter: str,
-                             step: float = DEFAULT_STEP,
-                             config: SolverConfig = SolverConfig()) -> SensitivityReport:
+                             step: float = DEFAULT_STEP) -> SensitivityReport:
     """Central differences of the re-solved equilibrium at parameter +/- step."""
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown parameter {parameter!r}")
     base = getattr(params, parameter)
-    hi = solve(replace(params, **{parameter: base + step}), config)
-    lo = solve(replace(params, **{parameter: base - step}), config)
+    hi = solve(replace(params, **{parameter: base + step}))
+    lo = solve(replace(params, **{parameter: base - step}))
     scale = 1.0 / (2.0 * step)
     return SensitivityReport(
         parameter,

@@ -6,29 +6,11 @@ maturity, so a single per-unit-time rate characterizes it: f(t) = rate*(T-t).
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
-from .bestresponse import NonpositivePremium, insurer_response
+from .bestresponse import (NonpositivePremium, cession_denominator,
+                           insurer_response, reinsurer_side)
 from .model import Equilibrium, ModelParams, PremiumPair
-
-
-class Player(enum.Enum):
-    INSURER = 0
-    REINSURER1 = 1
-    REINSURER2 = 2
-
-
-@dataclass(frozen=True)
-class ValueCoefficient:
-    rate: float
-    player: Player
-
-
-def _premium_denominator(delta0: float, theta: PremiumPair) -> float:
-    t1, t2 = theta.theta1, theta.theta2
-    return delta0 * t1 + delta0 * t2 + 2.0 * t1 * t2
 
 
 def f0_rate(params: ModelParams, theta: PremiumPair) -> float:
@@ -40,7 +22,7 @@ def f0_rate(params: ModelParams, theta: PremiumPair) -> float:
     if t1 <= 0 or t2 <= 0:
         raise NonpositivePremium(f"premium loadings must be positive: {theta}")
     d0 = params.delta0
-    ratio = d0 * params.sigma ** 2 * t1 * t2 / _premium_denominator(d0, theta)
+    ratio = d0 * params.sigma ** 2 * t1 * t2 / cession_denominator(d0, t1, t2)
     return d0 * (params.mu - params.c + ratio)
 
 
@@ -53,22 +35,13 @@ def reinsurer_rate(params: ModelParams, theta: PremiumPair, i: int) -> float:
 
         sigma^2*d0^2*d_i*(t_j - l_j*t_i)/D^2 * [-t_i*t_j + d_i*(t_j - l_j*t_i)/2].
     """
-    d0 = params.delta0
-    if i == 1:
-        di, lj, ti, tj = params.delta1, params.lambda2, theta.theta1, theta.theta2
-    elif i == 2:
-        di, lj, ti, tj = params.delta2, params.lambda1, theta.theta2, theta.theta1
-    else:
-        raise ValueError(f"reinsurer index must be 1 or 2, got {i}")
+    side = reinsurer_side(params, i)
+    d0, di, lj = params.delta0, side.own_delta, side.rival_weight
+    ti, tj = side.own_rival(theta.theta1, theta.theta2)
     gap = tj - lj * ti
-    d_sq = _premium_denominator(d0, theta) ** 2
+    d_sq = cession_denominator(d0, theta.theta1, theta.theta2) ** 2
     return params.sigma ** 2 * d0 * d0 * di * gap / d_sq \
         * (-ti * tj + 0.5 * di * gap)
-
-
-def fi_rate(params: ModelParams, eq: Equilibrium, i: int) -> float:
-    """Reinsurer i's equilibrium value-exponent rate."""
-    return reinsurer_rate(params, eq.theta_star, i)
 
 
 def value_insurer(params: ModelParams, eq: Equilibrium, t: float, x: float) -> float:
@@ -82,12 +55,9 @@ def value_reinsurer(params: ModelParams, eq: Equilibrium, i: int,
                     t: float, y: float) -> float:
     """Reinsurer i's equilibrium value as a function of its relative
     performance y."""
-    if i == 1:
-        di, rate = params.delta1, eq.f1_rate
-    elif i == 2:
-        di, rate = params.delta2, eq.f2_rate
-    else:
-        raise ValueError(f"reinsurer index must be 1 or 2, got {i}")
+    side = reinsurer_side(params, i)
+    di = side.own_delta
+    rate, _ = side.own_rival(eq.f1_rate, eq.f2_rate)
     tau = params.horizon - t
     return -math.exp(-di * y + rate * tau) / di
 
@@ -98,8 +68,9 @@ def welfare_index(params: ModelParams, eq: Equilibrium, i: int) -> float:
     Defined as the value rate stripped of the positive factor
     sigma^2*d0*d_i, so a larger index means lower reinsurer welfare.
     """
-    di = params.delta1 if i == 1 else params.delta2
-    return fi_rate(params, eq, i) / (params.sigma ** 2 * params.delta0 * di)
+    di = reinsurer_side(params, i).own_delta
+    rate = reinsurer_rate(params, eq.theta_star, i)
+    return rate / (params.sigma ** 2 * params.delta0 * di)
 
 
 def premium_identity_gap(params: ModelParams, theta: PremiumPair) -> float:
@@ -115,5 +86,5 @@ def premium_identity_gap(params: ModelParams, theta: PremiumPair) -> float:
     lhs = s2 * (theta.theta1 * p.p1 ** 2 + theta.theta2 * p.p2 ** 2) \
         + 0.5 * d0 * s2 * (1.0 - p.p1 - p.p2) ** 2
     rhs = d0 * s2 * theta.theta1 * theta.theta2 \
-        / _premium_denominator(d0, theta)
+        / cession_denominator(d0, theta.theta1, theta.theta2)
     return lhs - rhs

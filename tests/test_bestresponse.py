@@ -7,6 +7,7 @@ from stacknash import (DEFAULT_PARAMS, NonpositiveInput, NonpositivePremium,
                        PremiumPair, ReinsurerSide, cession_partials,
                        insurer_response, phi, phi_partials, phi_prime,
                        reinsurer_side)
+from stacknash.sensitivity import _phi_parameter_partial
 
 from conftest import random_params, simplex_grid
 
@@ -131,9 +132,16 @@ def test_phi_prime_matches_finite_difference_at_example():
 
 
 def test_phi_partials_zero_components_exact():
-    ps = phi_partials(SIDE, 1.0)
-    assert ps.d_delta_rival == 0.0
-    assert ps.d_lambda_own == 0.0
+    # phi_i contains neither the rival's risk aversion nor lambda_i
+    side1 = reinsurer_side(DEFAULT_PARAMS, 1)
+    side2 = reinsurer_side(DEFAULT_PARAMS, 2)
+    for x in (0.5, 1.0, 3.0):
+        assert _phi_parameter_partial(side1, "delta2", x) == 0.0
+        assert _phi_parameter_partial(side1, "lambda1", x) == 0.0
+        assert _phi_parameter_partial(side2, "delta1", x) == 0.0
+        assert _phi_parameter_partial(side2, "lambda2", x) == 0.0
+        assert _phi_parameter_partial(side1, "lambda2", x) != 0.0
+        assert _phi_parameter_partial(side2, "lambda1", x) != 0.0
 
 
 def test_phi_partial_delta0_frozen_value():

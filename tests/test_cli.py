@@ -1,10 +1,30 @@
 import csv
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from stacknash import DEFAULT_PARAMS, params_to_json
+import stacknash.cli
+from stacknash import (DEFAULT_PARAMS, insurer_response, params_to_json,
+                       residual)
 from stacknash.cli import FIGURE_SWEEPS, SWEEP_HEADER, main
+
+# sha256 of each `figures --steps 12` file, frozen from a verified run. The
+# p, theta and f figures of one parameter render the same sweep, hence the
+# same bytes; any change to these digests is a change of the figure data.
+FIGURE_DIGESTS_STEPS_12 = {
+    "lambda1": "f4c747fb993d359b6492cd8da21eb8af"
+               "c62f84a94b082cd8179d06f415f14ccb",
+    "lambda2": "4db86261700c217298e0bb0100794703"
+               "1ff67aef136a176f1415f0d3c2f7ff5b",
+    "delta0": "607a6e27e859154751d4576ab50699a3"
+              "5b85c62129b4ca45785bd5a698db5c9f",
+    "delta1": "437c4321263a027333fc48604506c1f9"
+              "6eaa299fc3460a3d4a4fd8166a1dc5d4",
+    "delta2": "b33d34c492dfec35285d23dfd09c4d82"
+              "640833a8647cf1443cdf2590ae40428a",
+}
 
 
 @pytest.fixture()
@@ -123,17 +143,6 @@ def test_sweep_to_file_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_threaded_matches_serial(tmp_path, monkeypatch):
-    argv = ["sweep", "--param", "delta1", "--from", "1", "--to", "10",
-            "--steps", "24"]
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    assert main(argv + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("STACKNASH_THREADS", "4")
-    assert main(argv + ["--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 # -- figures ------------------------------------------------------------------
 
 def test_figures_outputs(tmp_path):
@@ -141,6 +150,9 @@ def test_figures_outputs(tmp_path):
     assert main(["figures", "--out", str(out), "--steps", "12"]) == 0
     files = sorted(p.name for p in out.glob("*.csv"))
     assert files == sorted(f"{name}.csv" for name in FIGURE_SWEEPS)
+    for name, (parameter, _, _) in FIGURE_SWEEPS.items():
+        digest = hashlib.sha256((out / f"{name}.csv").read_bytes())
+        assert digest.hexdigest() == FIGURE_DIGESTS_STEPS_12[parameter], name
 
     rows = _rows((out / "fig_f_lambda1.csv").read_text())
     f1 = [float(r[6]) for r in rows]
@@ -169,8 +181,19 @@ def test_verify_passes_and_reruns_identically(params_file, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_verify_tamper_fails(params_file, capsys):
-    assert main(["verify", "--params", str(params_file), "--tamper",
+def test_verify_tamper_fails(params_file, capsys, monkeypatch):
+    real_solve = stacknash.cli.solve
+
+    def tampered_solve(params):
+        # inject a non-equilibrium candidate: shift theta1 off the fixed point
+        eq = real_solve(params)
+        theta = replace(eq.theta_star, theta1=eq.theta_star.theta1 + 0.1)
+        return replace(eq, theta_star=theta,
+                       p_star=insurer_response(params.delta0, theta),
+                       residual=residual(params, theta))
+
+    monkeypatch.setattr(stacknash.cli, "solve", tampered_solve)
+    assert main(["verify", "--params", str(params_file),
                  "--seed", "3", "--paths", "20000"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is False

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stacknash import (DEFAULT_PARAMS, ExistenceVerdict, ModelParams,
-                       NoEquilibrium, SolverConfig, existence, limit_profile,
+from stacknash import (DEFAULT_PARAMS, ExistenceVerdict, InvalidParams,
+                       ModelParams, NoEquilibrium, existence, limit_profile,
                        phi, reinsurer_side, solve)
+from stacknash.equilibrium import _TOLERANCE
 
 from conftest import random_params
 
@@ -90,7 +91,7 @@ def test_symmetry():
     params = replace(DEFAULT_PARAMS, delta1=4.0, delta2=4.0,
                      lambda1=0.5, lambda2=0.5)
     eq = solve(params)
-    tol = SolverConfig().tolerance
+    tol = _TOLERANCE
     assert abs(eq.theta_star.theta1 - eq.theta_star.theta2) <= 10 * tol
     assert abs(eq.p_star.p1 - eq.p_star.p2) <= 10 * tol
 
@@ -126,10 +127,19 @@ def test_limit_profile_input_checks():
         limit_profile(DEFAULT_PARAMS, [1.5])
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(bracket_floor=-1.0)
+def test_solve_rejects_nan_delta0():
+    with pytest.raises(InvalidParams) as info:
+        solve(replace(DEFAULT_PARAMS, delta0=math.nan))
+    assert info.value.errors == ("delta0 must be finite",)
+
+
+def test_solve_rejects_infinite_lambda():
+    with pytest.raises(InvalidParams) as info:
+        solve(replace(DEFAULT_PARAMS, lambda1=math.inf, lambda2=0.0))
+    assert info.value.errors == ("lambda1 must be finite",)
+
+
+def test_solve_accepts_validation_warnings():
+    # mu < 3*sigma is a warning, not an error
+    eq = solve(replace(DEFAULT_PARAMS, mu=1.0))
+    assert eq.theta_star == solve(DEFAULT_PARAMS).theta_star

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stacknash import (DEFAULT_PARAMS, NonpositivePremium, PremiumPair,
-                       SimConfig, f0_rate, fi_rate, gaussian_utility_insurer,
+                       SimConfig, f0_rate, gaussian_utility_insurer,
                        gaussian_utility_reinsurer, premium_identity_gap,
                        reinsurer_rate, simulate_utilities, solve,
                        value_insurer, value_reinsurer, welfare_index)
@@ -56,7 +56,7 @@ def test_fi_rate_matches_gaussian_oracle():
     for i in (1, 2):
         di = DEFAULT_PARAMS.delta1 if i == 1 else DEFAULT_PARAMS.delta2
         oracle = gaussian_utility_reinsurer(DEFAULT_PARAMS, eq.theta_star, i)
-        rate = fi_rate(DEFAULT_PARAMS, eq, i)
+        rate = reinsurer_rate(DEFAULT_PARAMS, eq.theta_star, i)
         # oracle = -(1/di) exp(rate * T) at y = 0
         implied = -np.exp(rate * DEFAULT_PARAMS.horizon) / di
         assert implied == pytest.approx(oracle, rel=1e-8)
@@ -117,7 +117,7 @@ def test_value_insurer_matches_monte_carlo():
 def test_welfare_index_proportional_to_rate():
     eq = solve(DEFAULT_PARAMS)
     for i, di in ((1, 4.0), (2, 6.0)):
-        expected = fi_rate(DEFAULT_PARAMS, eq, i) \
+        expected = reinsurer_rate(DEFAULT_PARAMS, eq.theta_star, i) \
             / (DEFAULT_PARAMS.sigma ** 2 * DEFAULT_PARAMS.delta0 * di)
         assert welfare_index(DEFAULT_PARAMS, eq, i) == pytest.approx(expected, rel=1e-15)
 
