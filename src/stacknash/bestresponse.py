@@ -98,13 +98,17 @@ def phi(side: ReinsurerSide, x):
 
     Strictly increasing and strictly concave, with horizontal asymptote
     own_delta + delta0/2. A zero rival weight uses the reduced form
-    asymptote - delta0^2 / (2*(2x + delta0)), which is also defined at x = 0
-    (value own_delta) and stays nondecreasing in x under rounding.
+    own_delta + delta0/(2 + delta0/x), which is also defined at x = 0 (value
+    own_delta); it adds only positive terms and every rounding step in it is
+    monotone, so it is accurate and nondecreasing in x.
     """
     _check_domain(side, x)
     d0, di, w = side.delta0, side.own_delta, side.rival_weight
     if w == 0.0:
-        return di + 0.5 * d0 - 0.5 * d0 * d0 / (2.0 * x + d0)
+        if not isinstance(x, np.ndarray):
+            return di if x == 0.0 else di + d0 / (2.0 + d0 / x)
+        with np.errstate(divide="ignore"):  # d0/0 = inf gives own_delta
+            return di + d0 / (2.0 + d0 / x)
     num = (d0 + 2.0 * di) * x * x + (1.0 + w) * d0 * di * x
     return num / _denominator(side, x)
 

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import mcsim, sensitivity, valuation
@@ -47,7 +47,10 @@ def _fmt(x: float) -> str:
 
 
 def _load_params(path: str) -> ModelParams:
-    params = params_from_json(Path(path).read_text())
+    try:
+        params = params_from_json(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON or fields
+        raise InvalidParams((str(exc),)) from exc
     result = validate(params)
     if not result.ok:
         raise InvalidParams(result.errors)
@@ -57,10 +60,17 @@ def _load_params(path: str) -> ModelParams:
 
 
 def _equilibrium_payload(eq: Equilibrium) -> dict:
-    payload = {**asdict(eq.theta_star), **asdict(eq.p_star)}
-    for name in ("residual", "f0_rate", "f1_rate", "f2_rate", "iterations"):
-        payload[name] = getattr(eq, name)
-    return payload
+    return {
+        "theta1": eq.theta_star.theta1,
+        "theta2": eq.theta_star.theta2,
+        "p1": eq.p_star.p1,
+        "p2": eq.p_star.p2,
+        "residual": eq.residual,
+        "f0_rate": eq.f0_rate,
+        "f1_rate": eq.f1_rate,
+        "f2_rate": eq.f2_rate,
+        "iterations": eq.iterations,
+    }
 
 
 def cmd_solve(args) -> int:
@@ -96,9 +106,9 @@ def _sweep_row(base: ModelParams, parameter: str, value: float) -> list[str]:
 def _render_sweep(base: ModelParams, parameter: str, start: float,
                   stop: float, steps: int) -> str:
     if steps < 2:
-        raise ValueError("steps must be at least 2")
+        raise InvalidParams(("steps must be at least 2",))
     if not start < stop:
-        raise ValueError("sweep range must satisfy from < to")
+        raise InvalidParams(("sweep range must satisfy from < to",))
     values = [start + (stop - start) * k / (steps - 1) for k in range(steps)]
     rows = [_sweep_row(base, parameter, v) for v in values]
     buffer = io.StringIO()
@@ -234,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, InvalidParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,6 +80,18 @@ def test_phi_zero_weight_reduced_form():
     assert phi(side, 2.0) == pytest.approx((13.0 * 2 + 20.0) / 9.0, rel=1e-15)
 
 
+def test_phi_zero_weight_accurate_on_flat_tail():
+    # large delta0, small own_delta: phi sits just above own_delta while x is
+    # small and near delta0/2 once x is large; exact rational reference
+    from fractions import Fraction
+    d0, di = 1e6, 0.01
+    side = ReinsurerSide(own_delta=di, rival_weight=0.0, delta0=d0)
+    for x in (1e-6, 0.01, 70.7, 1e4, 1e9):
+        fx, f0, fi = Fraction(x), Fraction(d0), Fraction(di)
+        exact = fi + f0 * fx / (2 * fx + f0)
+        assert abs(Fraction(phi(side, x)) - exact) <= 4e-16 * exact
+
+
 def test_phi_asymptote():
     assert phi(SIDE, 1e8) == pytest.approx(5.0 / 2 + 4.0, rel=1e-6)
 

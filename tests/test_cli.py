@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 
 import stacknash.cli
-from stacknash import (DEFAULT_PARAMS, insurer_response, params_to_json,
-                       residual)
+from stacknash import (DEFAULT_PARAMS, NonpositiveInput, insurer_response,
+                       params_to_json, residual)
 from stacknash.cli import FIGURE_SWEEPS, SWEEP_HEADER, main
 
 # sha256 of each `figures --steps 12` file, frozen from a verified run. The
@@ -141,6 +141,17 @@ def test_sweep_to_file_is_deterministic(tmp_path):
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_internal_error_is_not_reported_as_bad_input(params_file,
+                                                     monkeypatch):
+    # exit 1 is for unreadable or invalid input; a defect keeps its traceback
+    def broken_solve(params):
+        raise NonpositiveInput("premium argument must be positive")
+
+    monkeypatch.setattr(stacknash.cli, "solve", broken_solve)
+    with pytest.raises(NonpositiveInput):
+        main(["solve", "--params", str(params_file)])
 
 
 # -- figures ------------------------------------------------------------------

@@ -59,6 +59,19 @@ def test_zero_lambda_equal_deltas():
     assert eq.theta_star.theta2 == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("l1,l2", [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0)])
+def test_zero_lambda_large_delta0_solves(l1, l2):
+    # delta0 = 1e6 and own deltas 0.01: phi's zero-weight branch must stay
+    # accurate to far below the residual tolerance
+    params = ModelParams(1e6, 0.01, 0.01, l1, l2)
+    eq = solve(params)
+    assert eq.residual <= _TOLERANCE
+    if l1 == l2 == 0.0:
+        # closed form with d1 = d2 = d: t = d/2 + sqrt(d0*d*2 + d*d)/2
+        expected = 0.005 + 0.5 * math.sqrt(2e6 * 0.01 + 1e-4)
+        assert eq.theta_star.theta1 == pytest.approx(expected, rel=1e-14)
+
+
 @pytest.mark.parametrize("l1,l2", [(0.0, 5.0), (0.3, 0.0)])
 def test_mixed_zero_lambda_fixed_point(l1, l2):
     params = replace(DEFAULT_PARAMS, lambda1=l1, lambda2=l2)
