@@ -80,11 +80,11 @@ def insurer_response(delta0: float, theta: PremiumPair) -> CessionPair:
 
 
 def _check_domain(side: ReinsurerSide, x) -> None:
-    if side.rival_weight > 0.0:
-        if np.any(np.asarray(x) <= 0.0):
-            raise NonpositiveInput("premium argument must be positive")
-    elif np.any(np.asarray(x) < 0.0):
-        raise NonpositiveInput("premium argument must be nonnegative")
+    positive = side.rival_weight > 0.0
+    outside = x <= 0.0 if positive else x < 0.0  # NaN passes
+    if (outside if type(outside) is bool else np.any(outside)):
+        raise NonpositiveInput("premium argument must be "
+                               + ("positive" if positive else "nonnegative"))
 
 
 def _denominator(side: ReinsurerSide, x):

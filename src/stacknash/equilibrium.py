@@ -1,9 +1,10 @@
 """Existence gating and fixed-point solving for the equilibrium loadings.
 
 The 2-D fixed point (t1, t2) = (phi1(t2), phi2(t1)) is collapsed to the scalar
-root of g(t1) = phi1(phi2(t1)) - t1, which is bracketed by construction:
-g > 0 near zero whenever lambda1*lambda2 < 1, and g < 0 beyond the asymptote
-delta1 + delta0/2 of phi1.
+root of g(t1) = phi1(phi2(t1)) - t1, concave since phi1, phi2 are increasing
+and concave, with g' < 0 from its one root on. Newton's method from the right
+(the asymptote delta1 + delta0/2 of phi1) thus needs no bracket: no tangent
+falls below g, so the iterates decrease to the root and never overshoot it.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ import enum
 import math
 from dataclasses import replace
 
-from scipy.optimize import brentq
-
 from . import valuation
-from .bestresponse import insurer_response, phi, reinsurer_side
+from .bestresponse import insurer_response, phi, phi_prime, reinsurer_side
 from .model import (Equilibrium, InvalidParams, ModelParams, PremiumPair,
                     validate)
 
@@ -25,12 +24,11 @@ class NoEquilibrium(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """The bracket held no sign change, or the root missed the tolerance."""
+    """Newton's method did not converge, or the root missed the tolerance."""
 
 
 _TOLERANCE = 1e-12  # largest accepted fixed-point residual
 _MAX_ITERATIONS = 200
-_BRACKET_FLOOR = 1e-12  # lower end of the root bracket for theta1
 
 
 class ExistenceVerdict(enum.Enum):
@@ -70,10 +68,10 @@ def solve(params: ModelParams) -> Equilibrium:
     """Solve for the unique equilibrium of the two-layer game.
 
     Raises InvalidParams when :func:`validate` reports an error,
-    NoEquilibrium when lambda1*lambda2 >= 1, and SolverFailure if the
-    bracket carries no sign change or the residual misses its tolerance;
-    SolverFailure is reachable near the existence boundary (e.g. lambda1 =
-    0.5, lambda2 = 2 - 1e-14), where the root falls below the bracket floor.
+    NoEquilibrium when lambda1*lambda2 >= 1, and SolverFailure if Newton's
+    method needs more than _MAX_ITERATIONS steps or the residual misses its
+    tolerance. ``iterations`` counts the Newton steps computed, including the
+    last one, which no longer lowers theta1.
     The loadings depend only on the five behavioral parameters; mu, sigma,
     c, horizon and initial surpluses enter the value rates only.
     """
@@ -89,18 +87,20 @@ def solve(params: ModelParams) -> Equilibrium:
         theta = _closed_form_zero_lambda(params)
         iterations = 0
     else:
-        def gap(t1: float) -> float:
-            return phi(side1, phi(side2, t1)) - t1
-
-        lo = _BRACKET_FLOOR
-        hi = params.delta1 + params.delta0 / 2.0 + 1.0
-        if gap(lo) <= 0.0 or gap(hi) >= 0.0:
+        t1 = params.delta1 + params.delta0 / 2.0  # asymptote of phi1: g < 0
+        for iterations in range(1, _MAX_ITERATIONS + 1):
+            t2 = phi(side2, t1)
+            slope = phi_prime(side1, t2) * phi_prime(side2, t1) - 1.0  # g'
+            # right of the root g' < 0 and Newton lowers t1 within (0, t1);
+            # where rounding breaks either, t1 is the root to rounding
+            lower = t1 - (phi(side1, t2) - t1) / slope if slope < 0.0 else t1
+            if not 0.0 < lower < t1:
+                break
+            t1 = lower
+        else:
             raise SolverFailure(
-                f"no sign change of the fixed-point gap on [{lo}, {hi}]")
-        t1, info = brentq(gap, lo, hi, xtol=1e-15, rtol=8.881784197001252e-16,
-                          maxiter=_MAX_ITERATIONS, full_output=True)
-        theta = PremiumPair(theta1=t1, theta2=phi(side2, t1))
-        iterations = info.iterations
+                f"no convergence in {_MAX_ITERATIONS} Newton steps")
+        theta = PremiumPair(theta1=t1, theta2=t2)
 
     defect = _defect(side1, side2, theta)
     if defect > _TOLERANCE:

@@ -68,9 +68,9 @@ def welfare_index(params: ModelParams, eq: Equilibrium, i: int) -> float:
     Defined as the value rate stripped of the positive factor
     sigma^2*d0*d_i, so a larger index means lower reinsurer welfare.
     """
-    di = reinsurer_side(params, i).own_delta
-    rate = reinsurer_rate(params, eq.theta_star, i)
-    return rate / (params.sigma ** 2 * params.delta0 * di)
+    side = reinsurer_side(params, i)
+    rate, _ = side.own_rival(eq.f1_rate, eq.f2_rate)
+    return rate / (params.sigma ** 2 * params.delta0 * side.own_delta)
 
 
 def premium_identity_gap(params: ModelParams, theta: PremiumPair) -> float:

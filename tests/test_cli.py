@@ -1,7 +1,11 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +223,13 @@ def test_verify_no_equilibrium(tmp_path):
         "lambda1": 2.0, "lambda2": 0.6,
     }))
     assert main(["verify", "--params", str(path)]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only oracle; importing it would cost most of a CLI call
+    src = str(Path(stacknash.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run(
+        [sys.executable, "-c", "import sys, stacknash.cli; "
+         "assert 'scipy' not in sys.modules, 'scipy was imported'"],
+        env={**os.environ, "PYTHONPATH": path}, check=True)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from stacknash import (DEFAULT_PARAMS, ExistenceVerdict, InvalidParams,
-                       ModelParams, NoEquilibrium, existence, limit_profile,
-                       phi, reinsurer_side, solve)
-from stacknash.equilibrium import _TOLERANCE
+                       ModelParams, NoEquilibrium, SolverFailure, equilibrium,
+                       existence, limit_profile, phi, reinsurer_side, solve)
+from stacknash.equilibrium import _MAX_ITERATIONS, _TOLERANCE
 
 from conftest import random_params
 
@@ -98,6 +98,70 @@ def test_unique_sign_change_on_bracket(rng):
         xs = np.linspace(1e-12, hi, 10_000)
         gap = phi(side1, phi(side2, xs)) - xs
         assert np.count_nonzero(np.diff(np.sign(gap))) == 1
+
+
+@pytest.mark.parametrize("params", [
+    replace(DEFAULT_PARAMS, lambda1=0.5, lambda2=2.0 - 1e-14),
+    replace(DEFAULT_PARAMS, lambda1=0.3, lambda2=(1.0 - 1e-14) / 0.3),
+    # near the root the computed g' rounds to >= 0; a Newton step there
+    # would leave the domain or divide by zero
+    ModelParams(26285.05833392219, 3571.0115187808997, 229.9979130637978,
+                1.1047625033508903, 0.9051719233472054),
+    ModelParams(0.00021988666998235814, 4.92295546885142,
+                0.00133195221032591, 0.22785273972723652, 4.388799543060588),
+])
+def test_solves_at_existence_boundary(params):
+    # lambda1*lambda2 = 1 - O(1e-15): loadings of order 1e-13 or less, below
+    # any fixed bracket floor such as 1e-12
+    eq = solve(params)
+    t1, t2 = eq.theta_star.theta1, eq.theta_star.theta2
+    assert abs(t1 - phi(reinsurer_side(params, 1), t2)) / t1 <= 1e-12
+    assert abs(t2 - phi(reinsurer_side(params, 2), t1)) / t2 <= 1e-12
+    assert eq.iterations < _MAX_ITERATIONS
+
+
+def test_newton_step_limit(monkeypatch):
+    monkeypatch.setattr(equilibrium, "_MAX_ITERATIONS", 2)
+    with pytest.raises(SolverFailure, match="2 Newton steps"):
+        solve(DEFAULT_PARAMS)
+
+
+def _oracle_draws(rng, count=200):
+    """Seeded interior draws with the gap g and the bracket (tiny, asymptote
+    of phi1) on which g changes sign."""
+    for _ in range(count):
+        params = random_params(rng)
+        side1, side2 = reinsurer_side(params, 1), reinsurer_side(params, 2)
+
+        def gap(t1):
+            return phi(side1, phi(side2, t1)) - t1
+
+        yield params, gap, (1e-12, params.delta1 + params.delta0 / 2.0)
+
+
+def _assert_matches_root(params, root):
+    eq = solve(params)
+    theta2 = phi(reinsurer_side(params, 2), root)
+    assert eq.theta_star.theta1 == pytest.approx(root, rel=1e-12)
+    assert eq.theta_star.theta2 == pytest.approx(theta2, rel=1e-12)
+
+
+def test_matches_scipy_brentq(rng):
+    from scipy.optimize import brentq
+    for params, gap, (lo, hi) in _oracle_draws(rng):
+        root = brentq(gap, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        _assert_matches_root(params, root)
+
+
+def test_matches_scipy_find_root(rng):
+    # Chandrupatla's method; the residual gates are off so only the bracket
+    # width stops it
+    from scipy.optimize import elementwise
+    for params, gap, bracket in _oracle_draws(rng):
+        result = elementwise.find_root(
+            gap, bracket, tolerances={"fatol": 0.0, "frtol": 0.0})
+        assert result.success
+        _assert_matches_root(params, float(result.x))
 
 
 def test_symmetry():
