@@ -10,12 +10,12 @@ from .equilibrium import (ExistenceVerdict, NoEquilibrium, SolverFailure,
 from .model import (DEFAULT_PARAMS, CessionPair, Equilibrium, InvalidParams,
                     ModelParams, PremiumPair, ValidationResult,
                     params_from_json, params_to_json, validate)
-from .mcsim import (DeviationReport, Scheme, SimConfig, SimReport,
-                    deviation_test, gaussian_utility_insurer,
-                    gaussian_utility_reinsurer, simulate_utilities)
+from .mcsim import (DeviationReport, SimConfig, SimReport, deviation_test,
+                    gaussian_utility_insurer, gaussian_utility_reinsurer,
+                    simulate_utilities)
 from .sensitivity import (DegenerateDenominator, Method, SensitivityReport,
-                          analytic_report, cession_sensitivity,
-                          finite_difference_report, theta_sensitivity)
+                          analytic_report, finite_difference_report,
+                          theta_sensitivity)
 from .valuation import (f0_rate, premium_identity_gap, reinsurer_rate,
                         value_insurer, value_reinsurer, welfare_index)
 

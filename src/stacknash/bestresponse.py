@@ -66,17 +66,29 @@ def cession_denominator(delta0, t1, t2):
     return delta0 * t1 + delta0 * t2 + 2.0 * t1 * t2
 
 
-def insurer_response(delta0: float, theta: PremiumPair) -> CessionPair:
-    """The insurer's optimal ceded proportions for given loadings.
-
-    p1 = d0*t2/D, p2 = d0*t1/D with D = d0*t1 + d0*t2 + 2*t1*t2; the pair is
-    strictly interior (p1, p2 > 0 and p1 + p2 < 1).
-    """
-    t1, t2 = theta.theta1, theta.theta2
-    if t1 <= 0 or t2 <= 0:
-        raise NonpositivePremium(f"premium loadings must be positive: {theta}")
+def cession_shares(delta0, t1, t2):
+    """The insurer's best response (d0*t2/D, d0*t1/D); scalar or array."""
     denom = cession_denominator(delta0, t1, t2)
-    return CessionPair(p1=delta0 * t2 / denom, p2=delta0 * t1 / denom)
+    return delta0 * t2 / denom, delta0 * t1 / denom
+
+
+def check_loadings(theta: PremiumPair) -> None:
+    if theta.theta1 <= 0 or theta.theta2 <= 0:
+        raise NonpositivePremium(f"premium loadings must be positive: {theta}")
+
+
+def insurer_response(delta0: float, theta: PremiumPair) -> CessionPair:
+    """The insurer's optimal ceded proportions (p1, p2) = cession_shares(...).
+
+    p1, p2 > 0, and p1 + p2 < 1 in exact arithmetic, <= 1 in floating point:
+    if the retained share 2*t1*t2/D is below rounding and the sum rounds above
+    1, the smaller share is set to 1 minus the larger.
+    """
+    check_loadings(theta)
+    p1, p2 = cession_shares(delta0, theta.theta1, theta.theta2)
+    if p1 + p2 > 1.0:  # the larger share is >= 1/2, so 1 - it is exact
+        p1, p2 = (1.0 - p2, p2) if p1 < p2 else (p1, 1.0 - p1)
+    return CessionPair(p1=p1, p2=p2)
 
 
 def _check_domain(side: ReinsurerSide, x) -> None:
@@ -173,9 +185,8 @@ def cession_partials(delta0: float, theta: PremiumPair) -> CessionPartialSet:
     For each i: d p_i / d delta0 > 0, d p_i / d theta_i < 0,
     d p_i / d theta_j > 0.
     """
+    check_loadings(theta)
     t1, t2 = theta.theta1, theta.theta2
-    if t1 <= 0 or t2 <= 0:
-        raise NonpositivePremium(f"premium loadings must be positive: {theta}")
     den2 = cession_denominator(delta0, t1, t2) ** 2
     return CessionPartialSet(
         dp1_delta0=2.0 * t1 * t2 * t2 / den2,

@@ -2,41 +2,33 @@
 strategies, seeded Monte Carlo simulation of the surplus dynamics, and
 unilateral-deviation testing of a solved equilibrium.
 
-All three surpluses are driven by the single shared Brownian shock, so joint
-path simulation and direct relative-performance simulation agree pathwise.
-The Monte Carlo driver uses the counter-based Philox generator; draws sit at
-fixed counter offsets per path, so path k is reproducible for a given seed
-regardless of how the batch is evaluated.
+Every equilibrium strategy is constant, so each terminal surplus is affine in
+the single shared Brownian value W(T); drawing W(T) directly samples the
+terminal law exactly, and joint path simulation and direct relative-performance
+simulation agree pathwise. The Monte Carlo driver uses the counter-based Philox
+generator; for a given seed, the draws of a smaller batch are the first draws
+of a larger one.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bestresponse import (ReinsurerSide, cession_denominator,
-                           reinsurer_side)
+from .bestresponse import ReinsurerSide, cession_shares, reinsurer_side
 from .model import CessionPair, Equilibrium, ModelParams, PremiumPair
-
-
-class Scheme(enum.Enum):
-    EXACT_TERMINAL = "exact-terminal"
-    EULER_MARUYAMA = "euler-maruyama"
 
 
 @dataclass(frozen=True)
 class SimConfig:
     paths: int = 100_000
-    steps: int = 1
     seed: int = 0
-    scheme: Scheme = Scheme.EXACT_TERMINAL
 
     def __post_init__(self):
-        if self.paths < 1 or self.steps < 1:
-            raise ValueError("paths and steps must be at least 1")
+        if self.paths < 1:
+            raise ValueError("paths must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -50,25 +42,27 @@ def _utility(delta: float, mean, variance):
     return -np.exp(-delta * mean + 0.5 * delta * delta * variance) / delta
 
 
-def insurer_terminal_moments(params: ModelParams, theta: PremiumPair,
-                             p1, p2, t: float = 0.0, x: float | None = None):
+def _insurer_coefficients(params: ModelParams, theta: PremiumPair, p1, p2):
+    """Drift and retained share 1 - p1 - p2 (diffusion / sigma) of the
+    insurer's surplus under constant cession."""
+    drift = params.c - params.mu \
+        - params.sigma ** 2 * (theta.theta1 * p1 * p1 + theta.theta2 * p2 * p2)
+    return drift, 1.0 - p1 - p2
+
+
+def insurer_terminal_moments(params: ModelParams, theta: PremiumPair, p1, p2):
     """Mean and variance of the insurer's terminal surplus under constant
     strategies. Accepts scalar or array cession arguments."""
-    tau = params.horizon - t
-    x = params.x0 if x is None else x
-    s2 = params.sigma ** 2
-    drift = params.c - params.mu \
-        - s2 * (theta.theta1 * p1 * p1 + theta.theta2 * p2 * p2)
-    retained = 1.0 - p1 - p2
-    return x + drift * tau, s2 * retained * retained * tau
+    drift, retained = _insurer_coefficients(params, theta, p1, p2)
+    tau = params.horizon
+    return params.x0 + drift * tau, params.sigma ** 2 * retained * retained * tau
 
 
 def gaussian_utility_insurer(params: ModelParams, theta: PremiumPair,
-                             p: CessionPair, t: float = 0.0,
-                             x: float | None = None) -> float:
+                             p: CessionPair) -> float:
     """Exact expected utility of the insurer's terminal surplus; an oracle
     independent of the dynamic-programming derivation."""
-    mean, var = insurer_terminal_moments(params, theta, p.p1, p.p2, t, x)
+    mean, var = insurer_terminal_moments(params, theta, p.p1, p.p2)
     return float(_utility(params.delta0, mean, var))
 
 
@@ -76,52 +70,37 @@ def _relative_coefficients(params: ModelParams, side: ReinsurerSide,
                            theta_i, theta_j):
     """Drift and diffusion of a reinsurer's relative performance when the
     insurer best-responds to its loading theta_i and the rival's theta_j."""
-    d0, lj = params.delta0, side.rival_weight
-    t1, t2 = side.own_rival(theta_i, theta_j)  # back to pair order
-    denom = cession_denominator(d0, t1, t2)
-    p_i = d0 * theta_j / denom
-    p_j = d0 * theta_i / denom
+    lj = side.rival_weight
+    pair = cession_shares(params.delta0, *side.own_rival(theta_i, theta_j))
+    p_i, p_j = side.own_rival(*pair)  # pair order back to (own, rival)
     s2 = params.sigma ** 2
     drift = s2 * (theta_i * p_i * p_i - lj * theta_j * p_j * p_j)
     return drift, params.sigma * (p_i - lj * p_j)
 
 
-def reinsurer_terminal_moments(params: ModelParams, theta_i, theta_j,
-                               i: int, t: float = 0.0, y: float | None = None):
+def reinsurer_terminal_moments(params: ModelParams, theta_i, theta_j, i: int):
     """Mean and variance of reinsurer i's terminal relative performance when
     the insurer best-responds to the loadings (theta_i, theta_j)."""
     side = reinsurer_side(params, i)
     drift, diffusion = _relative_coefficients(params, side, theta_i, theta_j)
-    tau = params.horizon - t
-    y = side.y0 if y is None else y
-    return y + drift * tau, diffusion * diffusion * tau
+    tau = params.horizon
+    return side.y0 + drift * tau, diffusion * diffusion * tau
 
 
 def gaussian_utility_reinsurer(params: ModelParams, theta: PremiumPair,
-                               i: int, t: float = 0.0,
-                               y: float | None = None) -> float:
+                               i: int) -> float:
     """Exact expected utility of reinsurer i's terminal relative performance,
     with the insurer playing its best response to ``theta``."""
     side = reinsurer_side(params, i)
     theta_i, theta_j = side.own_rival(theta.theta1, theta.theta2)
-    mean, var = reinsurer_terminal_moments(params, theta_i, theta_j, i, t, y)
+    mean, var = reinsurer_terminal_moments(params, theta_i, theta_j, i)
     return float(_utility(side.own_delta, mean, var))
 
 
 def brownian_total_increments(params: ModelParams, config: SimConfig) -> np.ndarray:
-    """Terminal Brownian increments W(T), one per path, shared by all players.
-
-    Under the Euler-Maruyama scheme the per-step increments are drawn on a
-    (paths, steps) grid and summed; the exact scheme draws the terminal value
-    directly.
-    """
+    """Terminal Brownian values W(T), one per path, shared by all players."""
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    tau = params.horizon
-    if config.scheme is Scheme.EXACT_TERMINAL:
-        return math.sqrt(tau) * rng.standard_normal(config.paths)
-    dt = tau / config.steps
-    increments = math.sqrt(dt) * rng.standard_normal((config.paths, config.steps))
-    return increments.sum(axis=1)
+    return math.sqrt(params.horizon) * rng.standard_normal(config.paths)
 
 
 def terminal_surplus_samples(params: ModelParams, theta: PremiumPair,
@@ -130,9 +109,8 @@ def terminal_surplus_samples(params: ModelParams, theta: PremiumPair,
     w = brownian_total_increments(params, config)
     tau = params.horizon
     s2 = params.sigma ** 2
-    drift0 = params.c - params.mu \
-        - s2 * (theta.theta1 * p.p1 ** 2 + theta.theta2 * p.p2 ** 2)
-    x0 = params.x0 + drift0 * tau - params.sigma * (1.0 - p.p1 - p.p2) * w
+    drift0, retained = _insurer_coefficients(params, theta, p.p1, p.p2)
+    x0 = params.x0 + drift0 * tau - params.sigma * retained * w
     x1 = params.x1 + theta.theta1 * s2 * p.p1 ** 2 * tau - params.sigma * p.p1 * w
     x2 = params.x2 + theta.theta2 * s2 * p.p2 ** 2 * tau - params.sigma * p.p2 * w
     return x0, x1, x2
@@ -218,14 +196,7 @@ def deviation_test(params: ModelParams, eq: Equilibrium,
     reinsurer over its loading range given the rival's loading and the
     insurer's responsive cession."""
     theta = eq.theta_star
-    margins = (
-        _insurer_margin(params, theta, eq.p_star, grid_step),
-        _reinsurer_margin(params, theta, 1, grid_step),
-        _reinsurer_margin(params, theta, 2, grid_step),
-    )
-    return DeviationReport(
-        insurer_margin=margins[0],
-        reinsurer1_margin=margins[1],
-        reinsurer2_margin=margins[2],
-        improving_deviations=sum(1 for m in margins if m > 0.0),
-    )
+    margins = (_insurer_margin(params, theta, eq.p_star, grid_step),
+               _reinsurer_margin(params, theta, 1, grid_step),
+               _reinsurer_margin(params, theta, 2, grid_step))
+    return DeviationReport(*margins, sum(1 for m in margins if m > 0.0))

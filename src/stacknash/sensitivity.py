@@ -78,20 +78,14 @@ def theta_sensitivity(params: ModelParams, eq: Equilibrium,
     return d_t1, d_t2
 
 
-def cession_sensitivity(params: ModelParams, eq: Equilibrium,
-                        parameter: str) -> tuple[float, float]:
-    """Total derivatives of the equilibrium ceded proportions (chain rule).
-
-    No global sign holds for these; the direct delta0 effect and the induced
-    loading effects can pull in opposite directions.
-    """
-    report = analytic_report(params, eq, parameter)
-    return report.d_p1, report.d_p2
-
-
 def analytic_report(params: ModelParams, eq: Equilibrium,
                     parameter: str) -> SensitivityReport:
-    """Analytic loading and (by the chain rule) cession sensitivities."""
+    """Analytic loading and (by the chain rule) cession sensitivities.
+
+    No global sign holds for the cession derivatives d_p1, d_p2; the direct
+    delta0 effect and the induced loading effects can pull in opposite
+    directions.
+    """
     d_t1, d_t2 = theta_sensitivity(params, eq, parameter)
     cp = cession_partials(params.delta0, eq.theta_star)
     direct1 = cp.dp1_delta0 if parameter == "delta0" else 0.0
@@ -101,15 +95,15 @@ def analytic_report(params: ModelParams, eq: Equilibrium,
     return SensitivityReport(parameter, d_t1, d_t2, d_p1, d_p2, Method.ANALYTIC)
 
 
-def finite_difference_report(params: ModelParams, parameter: str,
-                             step: float = DEFAULT_STEP) -> SensitivityReport:
-    """Central differences of the re-solved equilibrium at parameter +/- step."""
+def finite_difference_report(params: ModelParams,
+                             parameter: str) -> SensitivityReport:
+    """Central differences of the re-solved equilibrium, step DEFAULT_STEP."""
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown parameter {parameter!r}")
     base = getattr(params, parameter)
-    hi = solve(replace(params, **{parameter: base + step}))
-    lo = solve(replace(params, **{parameter: base - step}))
-    scale = 1.0 / (2.0 * step)
+    hi = solve(replace(params, **{parameter: base + DEFAULT_STEP}))
+    lo = solve(replace(params, **{parameter: base - DEFAULT_STEP}))
+    scale = 1.0 / (2.0 * DEFAULT_STEP)
     return SensitivityReport(
         parameter,
         (hi.theta_star.theta1 - lo.theta_star.theta1) * scale,

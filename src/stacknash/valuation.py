@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .bestresponse import (NonpositivePremium, cession_denominator,
+from .bestresponse import (cession_denominator, check_loadings,
                            insurer_response, reinsurer_side)
 from .model import Equilibrium, ModelParams, PremiumPair
 
@@ -18,9 +18,8 @@ def f0_rate(params: ModelParams, theta: PremiumPair) -> float:
 
     rate = d0 * (mu - c + d0 * sigma^2 * t1 * t2 / D).
     """
+    check_loadings(theta)
     t1, t2 = theta.theta1, theta.theta2
-    if t1 <= 0 or t2 <= 0:
-        raise NonpositivePremium(f"premium loadings must be positive: {theta}")
     d0 = params.delta0
     ratio = d0 * params.sigma ** 2 * t1 * t2 / cession_denominator(d0, t1, t2)
     return d0 * (params.mu - params.c + ratio)

@@ -120,6 +120,18 @@ def test_solves_at_existence_boundary(params):
     assert eq.iterations < _MAX_ITERATIONS
 
 
+def test_solves_when_retained_share_is_below_rounding():
+    # loadings ~1e-12 beside delta0 ~4e6: the retained share 2*t1*t2/D is
+    # ~1e-19, so d0*t2/D + d0*t1/D rounds to 1 + 2**-52
+    params = ModelParams(3796789.6165540735, 1992502.2883105574,
+                         1.5974345324139584e-4, 0.2875352048276893,
+                         3.4778349682258107)
+    eq = solve(params)
+    t1, t2 = eq.theta_star.theta1, eq.theta_star.theta2
+    assert abs(t1 - phi(reinsurer_side(params, 1), t2)) / t1 <= 1e-12
+    assert eq.p_star.p1 + eq.p_star.p2 == 1.0
+
+
 def test_newton_step_limit(monkeypatch):
     monkeypatch.setattr(equilibrium, "_MAX_ITERATIONS", 2)
     with pytest.raises(SolverFailure, match="2 Newton steps"):

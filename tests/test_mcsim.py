@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stacknash import (DEFAULT_PARAMS, CessionPair, PremiumPair, Scheme,
-                       SimConfig, deviation_test, gaussian_utility_insurer,
+from stacknash import (DEFAULT_PARAMS, CessionPair, PremiumPair, SimConfig,
+                       deviation_test, gaussian_utility_insurer,
                        gaussian_utility_reinsurer, insurer_response,
                        simulate_utilities, solve, value_insurer)
-from stacknash.mcsim import (relative_performance_samples,
+from stacknash.mcsim import (brownian_total_increments,
+                             relative_performance_samples,
                              terminal_surplus_samples)
 
 from conftest import random_params
@@ -95,16 +96,14 @@ def test_mc_within_three_standard_errors(default_eq):
         assert abs(report.estimate - targets[player]) <= 3.0 * report.std_error
 
 
-def test_euler_maruyama_consistent_with_exact(default_eq):
-    exact = simulate_utilities(
-        DEFAULT_PARAMS, default_eq.theta_star, default_eq.p_star,
-        SimConfig(paths=50_000, seed=7, scheme=Scheme.EXACT_TERMINAL))
-    euler = simulate_utilities(
-        DEFAULT_PARAMS, default_eq.theta_star, default_eq.p_star,
-        SimConfig(paths=50_000, steps=256, seed=8, scheme=Scheme.EULER_MARUYAMA))
-    for player in exact:
-        spread = math.hypot(exact[player].std_error, euler[player].std_error)
-        assert abs(exact[player].estimate - euler[player].estimate) <= 4.0 * spread
+def test_smaller_batch_is_prefix_of_larger():
+    # same seed: the draws for fewer paths are the first draws for more paths
+    for seed in (0, 7, 123):
+        short = brownian_total_increments(
+            DEFAULT_PARAMS, SimConfig(paths=1_000, seed=seed))
+        long = brownian_total_increments(
+            DEFAULT_PARAMS, SimConfig(paths=4_000, seed=seed))
+        assert np.array_equal(short, long[:1_000])
 
 
 def test_monte_carlo_rate(default_eq):
@@ -143,8 +142,6 @@ def test_relative_performance_consistency(default_eq):
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(paths=0)
-    with pytest.raises(ValueError):
-        SimConfig(steps=0)
 
 
 # -- deviation testing --------------------------------------------------------

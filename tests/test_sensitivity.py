@@ -3,8 +3,8 @@ from dataclasses import replace
 import pytest
 
 from stacknash import (DEFAULT_PARAMS, DegenerateDenominator, Method,
-                       analytic_report, cession_sensitivity,
-                       finite_difference_report, solve, theta_sensitivity)
+                       analytic_report, finite_difference_report, solve,
+                       theta_sensitivity)
 from stacknash.sensitivity import PARAMETERS
 
 from conftest import random_params
@@ -30,10 +30,10 @@ def test_theta_sensitivity_signs_at_defaults():
 def test_cession_sensitivity_figure_level_signs():
     eq = solve(DEFAULT_PARAMS)
     # at the default parameters specifically; no global sign exists
-    dp1, dp2 = cession_sensitivity(DEFAULT_PARAMS, eq, "delta0")
-    assert dp1 > 0 and dp2 > 0
-    dp1, dp2 = cession_sensitivity(DEFAULT_PARAMS, eq, "lambda2")
-    assert dp1 > 0 and dp2 > 0
+    report = analytic_report(DEFAULT_PARAMS, eq, "delta0")
+    assert report.d_p1 > 0 and report.d_p2 > 0
+    report = analytic_report(DEFAULT_PARAMS, eq, "lambda2")
+    assert report.d_p1 > 0 and report.d_p2 > 0
 
 
 @pytest.mark.parametrize("parameter", PARAMETERS)
