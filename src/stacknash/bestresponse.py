@@ -99,43 +99,38 @@ def _check_domain(side: ReinsurerSide, x) -> None:
                                + ("positive" if positive else "nonnegative"))
 
 
-def _denominator(side: ReinsurerSide, x):
+def _reciprocal(side: ReinsurerSide, x):
+    """(S, a*x + b): phi = 1/S in partial fractions, a = d0 + 2*di,
+    b = (1 + w)*d0*di, S = 2/a + (1 + w)*d0**2/(a*(a*x + b)) + w/x, without
+    the w/x term at w = 0, where x = 0 is allowed."""
     d0, di, w = side.delta0, side.own_delta, side.rival_weight
-    return 2.0 * x * x + ((1.0 + 2.0 * w) * d0 + 2.0 * w * di) * x \
-        + w * (1.0 + w) * d0 * di
+    a = d0 + 2.0 * di
+    ab = a * x + (1.0 + w) * (d0 * di)
+    s = 2.0 / a + (1.0 + w) * d0 * d0 / (a * ab)
+    return (s + w / x if w else s), ab
 
 
 def phi(side: ReinsurerSide, x):
     """Reinsurer's best-response loading given the rival's loading ``x``.
 
     Strictly increasing and strictly concave, with horizontal asymptote
-    own_delta + delta0/2. A zero rival weight uses the reduced form
-    own_delta + delta0/(2 + delta0/x), which is also defined at x = 0 (value
-    own_delta); it adds only positive terms and every rounding step in it is
-    monotone, so it is accurate and nondecreasing in x.
+    own_delta + delta0/2 (and value own_delta at x = 0 for a zero weight).
+    One form, 1/S, for every rival weight (:func:`_reciprocal`): each term of
+    S is positive and nonincreasing in x under rounding, so nothing cancels
+    and the computed phi is nondecreasing in x, also at tiny weights.
     """
     _check_domain(side, x)
-    d0, di, w = side.delta0, side.own_delta, side.rival_weight
-    if w == 0.0:
-        if not isinstance(x, np.ndarray):
-            return di if x == 0.0 else di + d0 / (2.0 + d0 / x)
-        with np.errstate(divide="ignore"):  # d0/0 = inf gives own_delta
-            return di + d0 / (2.0 + d0 / x)
-    num = (d0 + 2.0 * di) * x * x + (1.0 + w) * d0 * di * x
-    return num / _denominator(side, x)
+    return 1.0 / _reciprocal(side, x)[0]
 
 
 def phi_prime(side: ReinsurerSide, x):
-    """Exact derivative of :func:`phi`; strictly positive."""
+    """Exact derivative of :func:`phi`, -S'/S**2 =
+    (1 + w)*(delta0*phi/(a*x + b))**2 + w*(phi/x)**2; strictly positive."""
     _check_domain(side, x)
-    d0, di, w = side.delta0, side.own_delta, side.rival_weight
-    if w == 0.0:
-        return d0 * d0 / (2.0 * x + d0) ** 2
-    num = ((4.0 * d0 * di * w + 4.0 * di * di * w
-            + 2.0 * w * d0 * d0 + d0 * d0) * x * x
-           + 2.0 * d0 * di * (d0 + 2.0 * di) * w * (1.0 + w) * x
-           + d0 * d0 * di * di * w * (1.0 + w) ** 2)
-    return num / _denominator(side, x) ** 2
+    s, ab = _reciprocal(side, x)
+    value, w = 1.0 / s, side.rival_weight
+    slope = (1.0 + w) * (side.delta0 * value / ab) ** 2
+    return slope + w * (value / x) ** 2 if w else slope
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,8 @@ def phi_partials(side: ReinsurerSide, x) -> PartialSet:
     """
     _check_domain(side, x)
     d0, di, w = side.delta0, side.own_delta, side.rival_weight
-    den2 = _denominator(side, x) ** 2
+    den2 = (2.0 * x * x + ((1.0 + 2.0 * w) * d0 + 2.0 * w * di) * x
+            + w * (1.0 + w) * d0 * di) ** 2
     d_d0 = 2.0 * x ** 4 / den2
     d_own = x * x * (d0 * (1.0 + w) + 2.0 * x) ** 2 / den2
     d_w = -(2.0 * (d0 * d0 + 2.0 * d0 * di + 2.0 * di * di) * x ** 3

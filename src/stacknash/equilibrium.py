@@ -24,10 +24,10 @@ class NoEquilibrium(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """Newton's method did not converge, or the root missed the tolerance."""
+    """Newton did not converge, or the relative residual missed tolerance."""
 
 
-_TOLERANCE = 1e-12  # largest accepted fixed-point residual
+_TOLERANCE = 1e-12  # largest accepted relative fixed-point residual
 _MAX_ITERATIONS = 200
 
 
@@ -54,14 +54,15 @@ def _closed_form_zero_lambda(params: ModelParams) -> PremiumPair:
     return PremiumPair(theta1=t1, theta2=t2)
 
 
-def _defect(side1, side2, theta: PremiumPair) -> float:
-    return abs(theta.theta1 - phi(side1, theta.theta2)) \
-        + abs(theta.theta2 - phi(side2, theta.theta1))
+def _gaps(side1, side2, theta: PremiumPair) -> tuple[float, float]:
+    return (abs(theta.theta1 - phi(side1, theta.theta2)),
+            abs(theta.theta2 - phi(side2, theta.theta1)))
 
 
 def residual(params: ModelParams, theta: PremiumPair) -> float:
-    """Fixed-point defect |t1 - phi1(t2)| + |t2 - phi2(t1)|."""
-    return _defect(reinsurer_side(params, 1), reinsurer_side(params, 2), theta)
+    """Absolute fixed-point defect |t1 - phi1(t2)| + |t2 - phi2(t1)|."""
+    return sum(_gaps(reinsurer_side(params, 1), reinsurer_side(params, 2),
+                     theta))
 
 
 def solve(params: ModelParams) -> Equilibrium:
@@ -69,9 +70,10 @@ def solve(params: ModelParams) -> Equilibrium:
 
     Raises InvalidParams when :func:`validate` reports an error,
     NoEquilibrium when lambda1*lambda2 >= 1, and SolverFailure if Newton's
-    method needs more than _MAX_ITERATIONS steps or the residual misses its
-    tolerance. ``iterations`` counts the Newton steps computed, including the
-    last one, which no longer lowers theta1.
+    method needs more than _MAX_ITERATIONS steps or the scale-free relative
+    residual |t1 - phi1(t2)|/t1 + |t2 - phi2(t1)|/t2 exceeds _TOLERANCE
+    (``residual`` holds the absolute one). ``iterations`` counts the Newton
+    steps computed, including the last one, which no longer lowers theta1.
     The loadings depend only on the five behavioral parameters; mu, sigma,
     c, horizon and initial surpluses enter the value rates only.
     """
@@ -102,16 +104,17 @@ def solve(params: ModelParams) -> Equilibrium:
                 f"no convergence in {_MAX_ITERATIONS} Newton steps")
         theta = PremiumPair(theta1=t1, theta2=t2)
 
-    defect = _defect(side1, side2, theta)
-    if defect > _TOLERANCE:
-        raise SolverFailure(f"fixed-point residual {defect:.3e} exceeds "
-                            f"tolerance {_TOLERANCE:.3e}")
+    gap1, gap2 = _gaps(side1, side2, theta)
+    relative = gap1 / theta.theta1 + gap2 / theta.theta2
+    if relative > _TOLERANCE:
+        raise SolverFailure(f"relative fixed-point residual {relative:.3e} "
+                            f"exceeds tolerance {_TOLERANCE:.3e}")
 
     p_star = insurer_response(params.delta0, theta)
     return Equilibrium(
         theta_star=theta,
         p_star=p_star,
-        residual=defect,
+        residual=gap1 + gap2,
         f0_rate=valuation.f0_rate(params, theta),
         f1_rate=valuation.reinsurer_rate(params, theta, 1),
         f2_rate=valuation.reinsurer_rate(params, theta, 2),

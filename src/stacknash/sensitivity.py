@@ -18,7 +18,7 @@ from .model import Equilibrium, ModelParams
 PARAMETERS = ("delta0", "delta1", "delta2", "lambda1", "lambda2")
 
 #: Central-difference step; balances truncation error against solver noise
-#: at the solver's residual tolerance of 1e-12.
+#: at the solver's relative residual tolerance of 1e-12.
 DEFAULT_STEP = 1e-5
 
 

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stacknash import (DEFAULT_PARAMS, NonpositiveInput, NonpositivePremium,
@@ -83,7 +85,6 @@ def test_phi_zero_weight_reduced_form():
 def test_phi_zero_weight_accurate_on_flat_tail():
     # large delta0, small own_delta: phi sits just above own_delta while x is
     # small and near delta0/2 once x is large; exact rational reference
-    from fractions import Fraction
     d0, di = 1e6, 0.01
     side = ReinsurerSide(own_delta=di, rival_weight=0.0, delta0=d0)
     for x in (1e-6, 0.01, 70.7, 1e4, 1e9):
@@ -107,6 +108,9 @@ def test_phi_rejects_nonpositive_input():
        bump=st.floats(min_value=1e-3, max_value=10.0),
        own=positive, w=st.floats(min_value=0.0, max_value=5.0), d0=positive)
 @settings(max_examples=200)
+@example(x=573.25, bump=0.001, own=573.0, w=5e-324, d0=0.01)
+@example(x=1000.0, bump=0.001, own=464.0, w=2.4203775580852557e-142,
+         d0=0.015625)
 def test_phi_increasing_and_concave(x, bump, own, w, d0):
     side = ReinsurerSide(own, w, d0)
     x1, x2, x3 = x, x + bump, x + 2 * bump
@@ -125,6 +129,31 @@ def test_phi_strictly_increasing_on_moderate_domain(rng):
         x = rng.uniform(0.05, 20)
         assert phi(side, x + 1e-4) > phi(side, x)
         assert phi_prime(side, x) > 0
+
+
+def _exact_phi_and_slope(side, x):
+    """phi = N/D and phi' = (N'D - ND')/D**2 in exact rational arithmetic."""
+    d0, di, w, x = map(Fraction, (side.delta0, side.own_delta,
+                                  side.rival_weight, x))
+    a, b = d0 + 2 * di, (1 + w) * d0 * di
+    c1, c0 = (1 + 2 * w) * d0 + 2 * w * di, w * (1 + w) * d0 * di
+    num, den = a * x * x + b * x, 2 * x * x + c1 * x + c0
+    slope = ((2 * a * x + b) * den - num * (4 * x + c1)) / (den * den)
+    return num / den, slope
+
+
+def test_phi_and_phi_prime_match_exact_rationals(rng):
+    # log-uniform delta in [1e-6, 1e8], rival weight 0 or in [1e-8, 1e3],
+    # x in [1e-12, 1e9]
+    for _ in range(500):
+        d0, di = 10.0 ** rng.uniform(-6.0, 8.0, 2)
+        w = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-8.0, 3.0)
+        x = 10.0 ** rng.uniform(-12.0, 9.0)
+        side = ReinsurerSide(float(di), float(w), float(d0))
+        value, slope = _exact_phi_and_slope(side, float(x))
+        assert abs(Fraction(phi(side, float(x))) - value) <= 1e-15 * value
+        assert abs(Fraction(phi_prime(side, float(x))) - slope) \
+            <= 2e-15 * slope
 
 
 # -- derivatives --------------------------------------------------------------

@@ -126,6 +126,18 @@ def test_sweep_flags_no_equilibrium_rows(capsys):
         assert float(row[0]) * DEFAULT_PARAMS.lambda1 >= 1.0
 
 
+def test_sweep_next_to_boundary_leaves_sensitivities_empty(capsys):
+    # at lambda1*lambda2 = 1 - 1e-11 the implicit-function denominator
+    # 1 - phi1'*phi2' is 1e-11: the row keeps its equilibrium, rate and
+    # welfare columns and leaves the four sensitivity cells empty
+    assert main(["sweep", "--param", "lambda2", "--from", "3.3333333333",
+                 "--to", "3.34", "--steps", "2"]) == 0
+    first, second = _rows(capsys.readouterr().out)
+    assert "" not in first[:8]
+    assert first[8:] == ["", "", "", ""]
+    assert second[1] == "no-equilibrium"
+
+
 def test_sweep_all_rows_infeasible_exits_two(capsys):
     assert main(["sweep", "--param", "lambda2",
                  "--from", "4.0", "--to", "5.0", "--steps", "5"]) == 2

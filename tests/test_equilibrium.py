@@ -1,8 +1,11 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stacknash import (DEFAULT_PARAMS, ExistenceVerdict, InvalidParams,
                        ModelParams, NoEquilibrium, SolverFailure, equilibrium,
@@ -61,7 +64,7 @@ def test_zero_lambda_equal_deltas():
 
 @pytest.mark.parametrize("l1,l2", [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0)])
 def test_zero_lambda_large_delta0_solves(l1, l2):
-    # delta0 = 1e6 and own deltas 0.01: phi's zero-weight branch must stay
+    # delta0 = 1e6 and own deltas 0.01: phi at a zero rival weight must stay
     # accurate to far below the residual tolerance
     params = ModelParams(1e6, 0.01, 0.01, l1, l2)
     eq = solve(params)
@@ -130,6 +133,55 @@ def test_solves_when_retained_share_is_below_rounding():
     t1, t2 = eq.theta_star.theta1, eq.theta_star.theta2
     assert abs(t1 - phi(reinsurer_side(params, 1), t2)) / t1 <= 1e-12
     assert eq.p_star.p1 + eq.p_star.p2 == 1.0
+
+
+def _relative_residual(params, eq):
+    t1, t2 = eq.theta_star.theta1, eq.theta_star.theta2
+    return (abs(t1 - phi(reinsurer_side(params, 1), t2)) / t1
+            + abs(t2 - phi(reinsurer_side(params, 2), t1)) / t2)
+
+
+@pytest.mark.parametrize("params", [
+    # Newton path: loadings near 6e4, whose ulp (7.3e-12) exceeds an
+    # absolute tolerance of 1e-12
+    ModelParams(2217.496584096267, 2376827.4869209733, 192126.00953904912,
+                0.7141153356666283, 0.9490005778963477),
+    # closed form, loadings near 4.5e4
+    ModelParams(86227.58908612342, 303.29022549271855, 8653.995513638143,
+                0.0, 0.0),
+])
+def test_large_loadings_meet_relative_tolerance(params):
+    assert _relative_residual(params, solve(params)) <= _TOLERANCE
+
+
+def test_corner_grid_meets_relative_tolerance():
+    # delta in {1e-6, 3e-3, 1, 7e4, 1e8}**3; lambda1*lambda2 = 1 - eps and
+    # lambda1/lambda2 = r**2 at the ends and inside of their ranges
+    deltas = (1e-6, 3e-3, 1.0, 7e4, 1e8)
+    for d0, d1, d2 in itertools.product(deltas, repeat=3):
+        for eps in (1e-15, 3e-13, 1e-8, 1e-3, 0.5, 0.999999):
+            k = math.sqrt(1.0 - eps)
+            for r in (1e-2, 0.3, 1.0, 7.0, 1e2):
+                params = ModelParams(d0, d1, d2, k * r, k / r)
+                assert _relative_residual(params, solve(params)) <= _TOLERANCE
+
+
+@given(log_deltas=st.tuples(*[st.floats(min_value=-6.0, max_value=8.0)] * 3),
+       log_eps=st.floats(min_value=-15.0, max_value=0.0),
+       log_ratio=st.floats(min_value=-2.0, max_value=2.0),
+       zero=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_solve_accurate_across_scales(log_deltas, log_eps, log_ratio, zero):
+    # delta log-uniform in [1e-6, 1e8]; lambda1*lambda2 = 1 - eps with eps in
+    # [1e-15, 1] and lambda1/lambda2 = ratio**2 with ratio in [1e-2, 1e2],
+    # or both lambdas zero
+    k, ratio = math.sqrt(1.0 - 10.0 ** log_eps), 10.0 ** log_ratio
+    lambdas = (0.0, 0.0) if zero else (k * ratio, k / ratio)
+    assume(lambdas[0] * lambdas[1] < 1.0)
+    params = ModelParams(*(10.0 ** d for d in log_deltas), *lambdas)
+    eq = solve(params)
+    assert _relative_residual(params, eq) <= _TOLERANCE
+    assert eq.p_star.p1 + eq.p_star.p2 <= 1.0
 
 
 def test_newton_step_limit(monkeypatch):
