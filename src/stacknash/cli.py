@@ -142,8 +142,8 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def _verify_checks(params: ModelParams, eq: Equilibrium, seed: int,
-                   paths: int) -> list[dict]:
+def _verify_checks(params: ModelParams, eq: Equilibrium,
+                   config: mcsim.SimConfig) -> list[dict]:
     checks = []
 
     def add(name: str, passed: bool, detail: str) -> None:
@@ -168,7 +168,6 @@ def _verify_checks(params: ModelParams, eq: Equilibrium, seed: int,
         rel = abs(value - oracle) / abs(oracle)
         add(f"reinsurer{i}-value-vs-gaussian", rel <= 1e-8, f"rel={rel:.3e}")
 
-    config = mcsim.SimConfig(paths=paths, seed=seed)
     reports = mcsim.simulate_utilities(params, eq.theta_star, eq.p_star, config)
     for player, report in reports.items():
         err = abs(report.estimate - closed[player])
@@ -185,12 +184,13 @@ def _verify_checks(params: ModelParams, eq: Equilibrium, seed: int,
 
 def cmd_verify(args) -> int:
     params = _load_params(args.params)
+    config = mcsim.SimConfig(paths=args.paths, seed=args.seed)
     try:
         eq = solve(params)
     except NoEquilibrium as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    checks = _verify_checks(params, eq, args.seed, args.paths)
+    checks = _verify_checks(params, eq, config)
     passed = all(c["passed"] for c in checks)
     for check in checks:
         status = "pass" if check["passed"] else "FAIL"

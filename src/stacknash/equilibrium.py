@@ -1,10 +1,12 @@
 """Existence gating and fixed-point solving for the equilibrium loadings.
 
 The 2-D fixed point (t1, t2) = (phi1(t2), phi2(t1)) is collapsed to the scalar
-root of g(t1) = phi1(phi2(t1)) - t1, concave since phi1, phi2 are increasing
-and concave, with g' < 0 from its one root on. Newton's method from the right
-(the asymptote delta1 + delta0/2 of phi1) thus needs no bracket: no tangent
-falls below g, so the iterates decrease to the root and never overshoot it.
+root of g(t) = phi_own(phi_rival(t)) - t, concave since phi1, phi2 are
+increasing and concave, with g' < 0 from its one root on. Newton's method from
+the right (the asymptote delta_own + delta0/2 of phi_own) thus needs no
+bracket: no tangent falls below g, so the iterates decrease to the root and
+never overshoot it. t is t1, or t2 when lambda1 = 0: phi2 is then at least
+delta2, so its root lies near that start, while phi1 tends to 0 at 0.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def solve(params: ModelParams) -> Equilibrium:
     method needs more than _MAX_ITERATIONS steps or the scale-free relative
     residual |t1 - phi1(t2)|/t1 + |t2 - phi2(t1)|/t2 exceeds _TOLERANCE
     (``residual`` holds the absolute one). ``iterations`` counts the Newton
-    steps computed, including the last one, which no longer lowers theta1.
+    steps computed, including the last one, which no longer lowers the loading.
     The loadings depend only on the five behavioral parameters; mu, sigma,
     c, horizon and initial surpluses enter the value rates only.
     """
@@ -89,20 +91,22 @@ def solve(params: ModelParams) -> Equilibrium:
         theta = _closed_form_zero_lambda(params)
         iterations = 0
     else:
-        t1 = params.delta1 + params.delta0 / 2.0  # asymptote of phi1: g < 0
+        own, rival = (side2, side1) if params.lambda1 == 0.0 else (side1, side2)
+        t_own = own.own_delta + params.delta0 / 2.0  # asymptote of phi: g < 0
         for iterations in range(1, _MAX_ITERATIONS + 1):
-            t2 = phi(side2, t1)
-            slope = phi_prime(side1, t2) * phi_prime(side2, t1) - 1.0  # g'
-            # right of the root g' < 0 and Newton lowers t1 within (0, t1);
-            # where rounding breaks either, t1 is the root to rounding
-            lower = t1 - (phi(side1, t2) - t1) / slope if slope < 0.0 else t1
-            if not 0.0 < lower < t1:
+            t_rival = phi(rival, t_own)
+            slope = phi_prime(own, t_rival) * phi_prime(rival, t_own) - 1.0
+            # right of the root g' < 0 and Newton lowers t_own within
+            # (0, t_own); where rounding breaks either, it is the root
+            gap = phi(own, t_rival) - t_own
+            lower = t_own - gap / slope if slope < 0.0 else t_own
+            if not 0.0 < lower < t_own:
                 break
-            t1 = lower
+            t_own = lower
         else:
             raise SolverFailure(
                 f"no convergence in {_MAX_ITERATIONS} Newton steps")
-        theta = PremiumPair(theta1=t1, theta2=t2)
+        theta = PremiumPair(*own.own_rival(t_own, t_rival))
 
     gap1, gap2 = _gaps(side1, side2, theta)
     relative = gap1 / theta.theta1 + gap2 / theta.theta2

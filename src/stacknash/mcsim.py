@@ -1,13 +1,13 @@
 """Independent verification layer: exact Gaussian utilities for constant
-strategies, seeded Monte Carlo simulation of the surplus dynamics, and
+strategies, seeded Monte Carlo simulation of the terminal laws, and
 unilateral-deviation testing of a solved equilibrium.
 
-Every equilibrium strategy is constant, so each terminal surplus is affine in
-the single shared Brownian value W(T); drawing W(T) directly samples the
-terminal law exactly, and joint path simulation and direct relative-performance
-simulation agree pathwise. The Monte Carlo driver uses the counter-based Philox
-generator; for a given seed, the draws of a smaller batch are the first draws
-of a larger one.
+Every equilibrium strategy is constant, so each player's terminal quantity
+(the insurer's surplus X0(T), reinsurer i's relative performance
+X_i(T) - lambda_j*X_j(T)) is mean - diffusion*W(T) in the one shared Brownian
+value W(T). Each law is written once: the Gaussian oracles use its moments, and
+the Monte Carlo samples it exactly from Philox draws of W(T). For a given seed,
+the draws of a smaller batch are the first draws of a larger one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bestresponse import ReinsurerSide, cession_shares, reinsurer_side
-from .model import CessionPair, Equilibrium, ModelParams, PremiumPair
+from .model import (CessionPair, Equilibrium, InvalidParams, ModelParams,
+                    PremiumPair)
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,9 @@ class SimConfig:
 
     def __post_init__(self):
         if self.paths < 1:
-            raise ValueError("paths must be at least 1")
+            raise InvalidParams(("paths must be at least 1",))
+        if not 0 <= self.seed < 2 ** 128:  # the Philox key range
+            raise InvalidParams(("seed must lie in [0, 2**128)",))
 
 
 @dataclass(frozen=True)
@@ -42,20 +45,19 @@ def _utility(delta: float, mean, variance):
     return -np.exp(-delta * mean + 0.5 * delta * delta * variance) / delta
 
 
-def _insurer_coefficients(params: ModelParams, theta: PremiumPair, p1, p2):
-    """Drift and retained share 1 - p1 - p2 (diffusion / sigma) of the
-    insurer's surplus under constant cession."""
+def _insurer_law(params: ModelParams, theta: PremiumPair, p1, p2):
+    """(mean, diffusion) of the insurer's terminal surplus
+    X0(T) = mean - diffusion*W(T) under constant cession (p1, p2)."""
     drift = params.c - params.mu \
         - params.sigma ** 2 * (theta.theta1 * p1 * p1 + theta.theta2 * p2 * p2)
-    return drift, 1.0 - p1 - p2
+    return params.x0 + drift * params.horizon, params.sigma * (1.0 - p1 - p2)
 
 
 def insurer_terminal_moments(params: ModelParams, theta: PremiumPair, p1, p2):
     """Mean and variance of the insurer's terminal surplus under constant
     strategies. Accepts scalar or array cession arguments."""
-    drift, retained = _insurer_coefficients(params, theta, p1, p2)
-    tau = params.horizon
-    return params.x0 + drift * tau, params.sigma ** 2 * retained * retained * tau
+    mean, diffusion = _insurer_law(params, theta, p1, p2)
+    return mean, diffusion * diffusion * params.horizon
 
 
 def gaussian_utility_insurer(params: ModelParams, theta: PremiumPair,
@@ -66,25 +68,24 @@ def gaussian_utility_insurer(params: ModelParams, theta: PremiumPair,
     return float(_utility(params.delta0, mean, var))
 
 
-def _relative_coefficients(params: ModelParams, side: ReinsurerSide,
-                           theta_i, theta_j):
-    """Drift and diffusion of a reinsurer's relative performance when the
-    insurer best-responds to its loading theta_i and the rival's theta_j."""
+def _reinsurer_law(params: ModelParams, side: ReinsurerSide,
+                   theta_i, theta_j, p_i, p_j):
+    """(mean, diffusion) of a reinsurer's terminal relative performance
+    Y_i(T) = X_i(T) - lambda_j*X_j(T) = mean - diffusion*W(T), given the
+    (own, rival) loadings and ceded shares."""
     lj = side.rival_weight
-    pair = cession_shares(params.delta0, *side.own_rival(theta_i, theta_j))
-    p_i, p_j = side.own_rival(*pair)  # pair order back to (own, rival)
-    s2 = params.sigma ** 2
-    drift = s2 * (theta_i * p_i * p_i - lj * theta_j * p_j * p_j)
-    return drift, params.sigma * (p_i - lj * p_j)
+    drift = params.sigma ** 2 * (theta_i * p_i * p_i - lj * theta_j * p_j * p_j)
+    return side.y0 + drift * params.horizon, params.sigma * (p_i - lj * p_j)
 
 
 def reinsurer_terminal_moments(params: ModelParams, theta_i, theta_j, i: int):
     """Mean and variance of reinsurer i's terminal relative performance when
     the insurer best-responds to the loadings (theta_i, theta_j)."""
     side = reinsurer_side(params, i)
-    drift, diffusion = _relative_coefficients(params, side, theta_i, theta_j)
-    tau = params.horizon
-    return side.y0 + drift * tau, diffusion * diffusion * tau
+    pair = cession_shares(params.delta0, *side.own_rival(theta_i, theta_j))
+    mean, diffusion = _reinsurer_law(params, side, theta_i, theta_j,
+                                     *side.own_rival(*pair))
+    return mean, diffusion * diffusion * params.horizon
 
 
 def gaussian_utility_reinsurer(params: ModelParams, theta: PremiumPair,
@@ -103,31 +104,6 @@ def brownian_total_increments(params: ModelParams, config: SimConfig) -> np.ndar
     return math.sqrt(params.horizon) * rng.standard_normal(config.paths)
 
 
-def terminal_surplus_samples(params: ModelParams, theta: PremiumPair,
-                             p: CessionPair, config: SimConfig):
-    """Jointly simulated terminal surpluses (X0(T), X1(T), X2(T))."""
-    w = brownian_total_increments(params, config)
-    tau = params.horizon
-    s2 = params.sigma ** 2
-    drift0, retained = _insurer_coefficients(params, theta, p.p1, p.p2)
-    x0 = params.x0 + drift0 * tau - params.sigma * retained * w
-    x1 = params.x1 + theta.theta1 * s2 * p.p1 ** 2 * tau - params.sigma * p.p1 * w
-    x2 = params.x2 + theta.theta2 * s2 * p.p2 ** 2 * tau - params.sigma * p.p2 * w
-    return x0, x1, x2
-
-
-def relative_performance_samples(params: ModelParams, theta: PremiumPair,
-                                 i: int, config: SimConfig) -> np.ndarray:
-    """Terminal relative performance of reinsurer i simulated directly from
-    its own dynamics, with the insurer best-responding to ``theta``. Pathwise
-    identical (same seed) to forming X_i - w_i X_j from the joint simulation."""
-    side = reinsurer_side(params, i)
-    t_i, t_j = side.own_rival(theta.theta1, theta.theta2)
-    drift, diffusion = _relative_coefficients(params, side, t_i, t_j)
-    w = brownian_total_increments(params, config)
-    return side.y0 + drift * params.horizon - diffusion * w
-
-
 def _report(samples: np.ndarray) -> SimReport:
     estimate = float(samples.mean())
     spread = float(samples.std(ddof=1)) if len(samples) > 1 else 0.0
@@ -139,16 +115,16 @@ def simulate_utilities(params: ModelParams, theta: PremiumPair,
                        p: CessionPair, config: SimConfig) -> dict[str, SimReport]:
     """Seeded Monte Carlo estimates of each player's expected utility under
     constant strategies; keys 'insurer', 'reinsurer1', 'reinsurer2'."""
-    x0, x1, x2 = terminal_surplus_samples(params, theta, p, config)
-    d0 = params.delta0
-    reports = {"insurer": _report(-np.exp(-d0 * x0) / d0)}
+    w = brownian_total_increments(params, config)
+    laws = {"insurer": (params.delta0,
+                        *_insurer_law(params, theta, p.p1, p.p2))}
     for i in (1, 2):
         side = reinsurer_side(params, i)
-        x_own, x_rival = side.own_rival(x1, x2)
-        y = x_own - side.rival_weight * x_rival
-        di = side.own_delta
-        reports[f"reinsurer{i}"] = _report(-np.exp(-di * y) / di)
-    return reports
+        laws[f"reinsurer{i}"] = (side.own_delta, *_reinsurer_law(
+            params, side, *side.own_rival(theta.theta1, theta.theta2),
+            *side.own_rival(p.p1, p.p2)))
+    return {player: _report(-np.exp(delta * (diffusion * w - mean)) / delta)
+            for player, (delta, mean, diffusion) in laws.items()}
 
 
 @dataclass(frozen=True)

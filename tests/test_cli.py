@@ -237,6 +237,22 @@ def test_verify_no_equilibrium(tmp_path):
     assert main(["verify", "--params", str(path)]) == 2
 
 
+@pytest.mark.parametrize("option", [["--paths", "0"], ["--seed", "-1"]],
+                         ids=["paths-0", "seed-negative"])
+def test_verify_bad_simulation_option_is_input_error(params_file, option,
+                                                     capsys, monkeypatch):
+    # rejected before the equilibrium is solved
+    def no_solve(params):
+        raise AssertionError("solve called before the options were checked")
+
+    monkeypatch.setattr(stacknash.cli, "solve", no_solve)
+    assert main(["verify", "--params", str(params_file)] + option) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only oracle; importing it would cost most of a CLI call
     src = str(Path(stacknash.cli.__file__).parents[1])

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stacknash import (DEFAULT_PARAMS, ExistenceVerdict, InvalidParams,
@@ -166,19 +166,30 @@ def test_corner_grid_meets_relative_tolerance():
                 assert _relative_residual(params, solve(params)) <= _TOLERANCE
 
 
-@given(log_deltas=st.tuples(*[st.floats(min_value=-6.0, max_value=8.0)] * 3),
-       log_eps=st.floats(min_value=-15.0, max_value=0.0),
-       log_ratio=st.floats(min_value=-2.0, max_value=2.0),
-       zero=st.booleans())
+@st.composite
+def _wide_lambdas(draw):
+    # lambda1*lambda2 = 1 - eps with eps in [1e-15, 1] and lambda1/lambda2 =
+    # ratio**2 with ratio in [1e-2, 1e2], both log-uniform; then none, both
+    # or exactly one of them (on either side) set to zero
+    k = math.sqrt(1.0 - 10.0 ** draw(st.floats(min_value=-15.0, max_value=0.0)))
+    ratio = 10.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
+    zeros = draw(st.sampled_from(((), (0, 1), (0,), (1,))))
+    return tuple(0.0 if i in zeros else lam
+                 for i, lam in enumerate((k * ratio, k / ratio)))
+
+
+@given(deltas=st.tuples(*[st.floats(min_value=-6.0, max_value=8.0)
+                          .map(lambda d: 10.0 ** d)] * 3),
+       lambdas=_wide_lambdas())
+# lambda1 = 0 < lambda2 with delta0 << delta1: Newton on theta1, started
+# orders of magnitude above the root, stepped to its left and stopped there
+@example(deltas=(1.9303303151758863e-06, 12264837.599860784,
+                 0.002769527950025365), lambdas=(0.0, 1.5285748235745633))
 @settings(max_examples=200, deadline=None)
-def test_solve_accurate_across_scales(log_deltas, log_eps, log_ratio, zero):
-    # delta log-uniform in [1e-6, 1e8]; lambda1*lambda2 = 1 - eps with eps in
-    # [1e-15, 1] and lambda1/lambda2 = ratio**2 with ratio in [1e-2, 1e2],
-    # or both lambdas zero
-    k, ratio = math.sqrt(1.0 - 10.0 ** log_eps), 10.0 ** log_ratio
-    lambdas = (0.0, 0.0) if zero else (k * ratio, k / ratio)
+def test_solve_accurate_across_scales(deltas, lambdas):
+    # delta log-uniform in [1e-6, 1e8]
     assume(lambdas[0] * lambdas[1] < 1.0)
-    params = ModelParams(*(10.0 ** d for d in log_deltas), *lambdas)
+    params = ModelParams(*deltas, *lambdas)
     eq = solve(params)
     assert _relative_residual(params, eq) <= _TOLERANCE
     assert eq.p_star.p1 + eq.p_star.p2 <= 1.0

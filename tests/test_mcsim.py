@@ -1,16 +1,16 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stacknash import (DEFAULT_PARAMS, CessionPair, PremiumPair, SimConfig,
-                       deviation_test, gaussian_utility_insurer,
-                       gaussian_utility_reinsurer, insurer_response,
-                       simulate_utilities, solve, value_insurer)
-from stacknash.mcsim import (brownian_total_increments,
-                             relative_performance_samples,
-                             terminal_surplus_samples)
+from stacknash import (DEFAULT_PARAMS, CessionPair, InvalidParams,
+                       PremiumPair, SimConfig, deviation_test,
+                       gaussian_utility_insurer, gaussian_utility_reinsurer,
+                       insurer_response, simulate_utilities, solve,
+                       value_insurer)
+from stacknash.mcsim import brownian_total_increments
 
 from conftest import random_params
 
@@ -118,30 +118,57 @@ def test_monte_carlo_rate(default_eq):
         assert err <= 4.0 * report.std_error
 
 
-def test_relative_performance_consistency(default_eq):
-    # same seed: joint simulation and direct relative dynamics agree pathwise
+def test_utilities_match_surplus_dynamics():
+    # reference: X0, X1, X2 integrated from their dynamics under constant
+    # strategies on the same W(T), and Y_i = X_i - lambda_j*X_j
     config = SimConfig(paths=2_000, seed=99)
-    theta = default_eq.theta_star
-    p = insurer_response(DEFAULT_PARAMS.delta0, theta)
-    _, x1, x2 = terminal_surplus_samples(DEFAULT_PARAMS, theta, p, config)
-    y1_joint = x1 - DEFAULT_PARAMS.lambda2 * x2
-    y2_joint = x2 - DEFAULT_PARAMS.lambda1 * x1
-    y1 = relative_performance_samples(DEFAULT_PARAMS, theta, 1, config)
-    y2 = relative_performance_samples(DEFAULT_PARAMS, theta, 2, config)
-    # rtol=1e-12, plus 1e-12 of the magnitude of the terms summed: y = x_own
-    # - lambda_j*x_rival may cancel far below its terms
-    l1, l2 = DEFAULT_PARAMS.lambda1, DEFAULT_PARAMS.lambda2
-    for y, joint, own, rival, weight in ((y1, y1_joint, x1, x2, l2),
-                                         (y2, y2_joint, x2, x1, l1)):
-        bound = 1e-12 * (np.abs(joint) + np.abs(own) + weight * np.abs(rival))
-        excess = np.abs(y - joint) / bound
-        assert excess.max() <= 1.0, \
-            f"path {excess.argmax()} off by {excess.max():.3g} of its bound"
+    for params in (DEFAULT_PARAMS,
+                   replace(DEFAULT_PARAMS, sigma=0.8, mu=4.5, c=5.5,
+                           horizon=2.0, x0=0.3, x1=0.2, x2=-0.1)):
+        eq = solve(params)
+        theta, p = eq.theta_star, eq.p_star
+        w = brownian_total_increments(params, config)
+        tau, s = params.horizon, params.sigma
+        x0 = (params.x0 + (params.c - params.mu) * tau
+              - s * s * (theta.theta1 * p.p1 ** 2
+                         + theta.theta2 * p.p2 ** 2) * tau
+              - s * (1.0 - p.p1 - p.p2) * w)
+        x1 = params.x1 + theta.theta1 * s * s * p.p1 ** 2 * tau - s * p.p1 * w
+        x2 = params.x2 + theta.theta2 * s * s * p.p2 ** 2 * tau - s * p.p2 * w
+        terminal = {"insurer": (params.delta0, x0),
+                    "reinsurer1": (params.delta1, x1 - params.lambda2 * x2),
+                    "reinsurer2": (params.delta2, x2 - params.lambda1 * x1)}
+        reports = simulate_utilities(params, theta, p, config)
+        for player, (delta, x) in terminal.items():
+            samples = -np.exp(-delta * x) / delta
+            std_error = samples.std(ddof=1) / math.sqrt(len(samples))
+            assert reports[player].estimate \
+                == pytest.approx(samples.mean(), rel=1e-12), player
+            assert reports[player].std_error \
+                == pytest.approx(std_error, rel=1e-9), player
+
+
+def test_simulation_allocates_three_path_arrays(default_eq):
+    # W(T), one player's utility samples and the deviations of std
+    paths = 200_000
+    args = (DEFAULT_PARAMS, default_eq.theta_star, default_eq.p_star)
+    simulate_utilities(*args, SimConfig(paths=1_000, seed=1))  # warm up
+    tracemalloc.start()
+    try:
+        simulate_utilities(*args, SimConfig(paths=paths, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * paths
 
 
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(paths=0)
+    for seed in (-1, 2 ** 128):  # outside the Philox key range
+        with pytest.raises(InvalidParams, match="seed"):
+            SimConfig(seed=seed)
+    SimConfig(seed=2 ** 128 - 1)
 
 
 # -- deviation testing --------------------------------------------------------
