@@ -1,7 +1,7 @@
 """Closed-form best responses of all three players and their exact derivatives.
 
 All functions are pure and accept either floats or numpy arrays for the
-premium argument ``x``.
+premium argument ``x``; the module itself does not import numpy.
 
 Index convention: the weight appearing inside reinsurer i's best-response map
 is the competitor's competition degree (lambda_j), because reinsurer i's
@@ -12,8 +12,6 @@ objective is its performance relative to lambda_j times the rival's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import CessionPair, ModelParams, PremiumPair
 
@@ -94,20 +92,27 @@ def insurer_response(delta0: float, theta: PremiumPair) -> CessionPair:
 def _check_domain(side: ReinsurerSide, x) -> None:
     positive = side.rival_weight > 0.0
     outside = x <= 0.0 if positive else x < 0.0  # NaN passes
-    if (outside if type(outside) is bool else np.any(outside)):
+    if (outside if type(outside) is bool else outside.any()):
         raise NonpositiveInput("premium argument must be "
                                + ("positive" if positive else "nonnegative"))
 
 
-def _reciprocal(side: ReinsurerSide, x):
-    """(S, a*x + b): phi = 1/S in partial fractions, a = d0 + 2*di,
-    b = (1 + w)*d0*di, S = 2/a + (1 + w)*d0**2/(a*(a*x + b)) + w/x, without
-    the w/x term at w = 0, where x = 0 is allowed."""
+def _phi_and_slope(side: ReinsurerSide, x):
+    """(phi, phi') from one S, checked once: phi = 1/S in partial fractions,
+    a = d0 + 2*di, b = (1 + w)*d0*di, S = 2/a + (1 + w)*d0**2/(a*(a*x + b))
+    + w/x, without the w/x term at w = 0, where x = 0 is allowed; and
+    phi' = -S'/S**2 = (1 + w)*(d0*phi/(a*x + b))**2 + w*(phi/x)**2."""
+    _check_domain(side, x)
     d0, di, w = side.delta0, side.own_delta, side.rival_weight
     a = d0 + 2.0 * di
     ab = a * x + (1.0 + w) * (d0 * di)
     s = 2.0 / a + (1.0 + w) * d0 * d0 / (a * ab)
-    return (s + w / x if w else s), ab
+    value = 1.0 / (s + w / x if w else s)
+    r, q = d0 * value / ab, (value / x if w else 0.0)
+    try:  # ** (libm pow) fixes the last bits of every output
+        return value, (1.0 + w) * r ** 2 + w * q ** 2
+    except OverflowError:  # a float ** past 1.8e308: * gives inf, or (w*q)*q
+        return value, (1.0 + w) * r * r + w * q * q
 
 
 def phi(side: ReinsurerSide, x):
@@ -115,22 +120,17 @@ def phi(side: ReinsurerSide, x):
 
     Strictly increasing and strictly concave, with horizontal asymptote
     own_delta + delta0/2 (and value own_delta at x = 0 for a zero weight).
-    One form, 1/S, for every rival weight (:func:`_reciprocal`): each term of
-    S is positive and nonincreasing in x under rounding, so nothing cancels
-    and the computed phi is nondecreasing in x, also at tiny weights.
+    One form, 1/S, for every rival weight (:func:`_phi_and_slope`): each term
+    of S is positive and nonincreasing in x under rounding, so nothing
+    cancels and the computed phi is nondecreasing in x, also at tiny weights.
     """
-    _check_domain(side, x)
-    return 1.0 / _reciprocal(side, x)[0]
+    return _phi_and_slope(side, x)[0]
 
 
 def phi_prime(side: ReinsurerSide, x):
     """Exact derivative of :func:`phi`, -S'/S**2 =
     (1 + w)*(delta0*phi/(a*x + b))**2 + w*(phi/x)**2; strictly positive."""
-    _check_domain(side, x)
-    s, ab = _reciprocal(side, x)
-    value, w = 1.0 / s, side.rival_weight
-    slope = (1.0 + w) * (side.delta0 * value / ab) ** 2
-    return slope + w * (value / x) ** 2 if w else slope
+    return _phi_and_slope(side, x)[1]
 
 
 @dataclass(frozen=True)

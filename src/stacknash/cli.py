@@ -172,7 +172,7 @@ def _verify_checks(params: ModelParams, eq: Equilibrium,
     for player, report in reports.items():
         err = abs(report.estimate - closed[player])
         bound = 3.0 * report.std_error
-        add(f"mc-{player}", err <= bound,
+        add(f"mc-{player}", err <= bound < float("inf"),
             f"err={err:.3e} bound={bound:.3e}")
 
     deviations = mcsim.deviation_test(params, eq, grid_step=1e-3)

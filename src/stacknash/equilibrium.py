@@ -16,7 +16,7 @@ import math
 from dataclasses import replace
 
 from . import valuation
-from .bestresponse import insurer_response, phi, phi_prime, reinsurer_side
+from .bestresponse import _phi_and_slope, insurer_response, phi, reinsurer_side
 from .model import (Equilibrium, InvalidParams, ModelParams, PremiumPair,
                     validate)
 
@@ -94,11 +94,12 @@ def solve(params: ModelParams) -> Equilibrium:
         own, rival = (side2, side1) if params.lambda1 == 0.0 else (side1, side2)
         t_own = own.own_delta + params.delta0 / 2.0  # asymptote of phi: g < 0
         for iterations in range(1, _MAX_ITERATIONS + 1):
-            t_rival = phi(rival, t_own)
-            slope = phi_prime(own, t_rival) * phi_prime(rival, t_own) - 1.0
+            t_rival, rival_slope = _phi_and_slope(rival, t_own)
+            image, own_slope = _phi_and_slope(own, t_rival)  # phi_own(t_rival)
+            slope = own_slope * rival_slope - 1.0
             # right of the root g' < 0 and Newton lowers t_own within
             # (0, t_own); where rounding breaks either, it is the root
-            gap = phi(own, t_rival) - t_own
+            gap = image - t_own
             lower = t_own - gap / slope if slope < 0.0 else t_own
             if not 0.0 < lower < t_own:
                 break

@@ -130,7 +130,7 @@ def simulate_utilities(params: ModelParams, theta: PremiumPair,
 @dataclass(frozen=True)
 class DeviationReport:
     """Worst utility improvements found by grid search over unilateral
-    deviations; all margins are <= 0 at a true equilibrium."""
+    deviations; all are <= 0 at a true equilibrium, and NaN counts as > 0."""
 
     insurer_margin: float
     reinsurer1_margin: float
@@ -175,4 +175,4 @@ def deviation_test(params: ModelParams, eq: Equilibrium,
     margins = (_insurer_margin(params, theta, eq.p_star, grid_step),
                _reinsurer_margin(params, theta, 1, grid_step),
                _reinsurer_margin(params, theta, 2, grid_step))
-    return DeviationReport(*margins, sum(1 for m in margins if m > 0.0))
+    return DeviationReport(*margins, sum(1 for m in margins if not m <= 0.0))

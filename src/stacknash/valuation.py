@@ -45,20 +45,25 @@ def reinsurer_rate(params: ModelParams, theta: PremiumPair, i: int) -> float:
 
 def value_insurer(params: ModelParams, eq: Equilibrium, t: float, x: float) -> float:
     """Insurer's equilibrium value -(1/d0)*exp(-d0*x + f0*(T-t)); negative,
-    equal to -1/d0 at (t, x) = (T, 0)."""
-    tau = params.horizon - t
-    return -math.exp(-params.delta0 * x + eq.f0_rate * tau) / params.delta0
+    equal to -1/d0 at (t, x) = (T, 0), and -inf where exp overflows."""
+    e = -params.delta0 * x + eq.f0_rate * (params.horizon - t)
+    try:
+        return -math.exp(e) / params.delta0
+    except OverflowError:
+        return -math.inf
 
 
 def value_reinsurer(params: ModelParams, eq: Equilibrium, i: int,
                     t: float, y: float) -> float:
     """Reinsurer i's equilibrium value as a function of its relative
-    performance y."""
+    performance y; -inf where exp overflows."""
     side = reinsurer_side(params, i)
-    di = side.own_delta
     rate, _ = side.own_rival(eq.f1_rate, eq.f2_rate)
-    tau = params.horizon - t
-    return -math.exp(-di * y + rate * tau) / di
+    e = -side.own_delta * y + rate * (params.horizon - t)
+    try:
+        return -math.exp(e) / side.own_delta
+    except OverflowError:
+        return -math.inf
 
 
 def welfare_index(params: ModelParams, eq: Equilibrium, i: int) -> float:

@@ -104,6 +104,23 @@ def test_phi_rejects_nonpositive_input():
         phi(ReinsurerSide(4.0, 0.0, 5.0), -1.0)
 
 
+@pytest.mark.parametrize("weight, outside", [(0.7, 0.0), (0.0, -1.0)],
+                         ids=["positive-weight", "zero-weight"])
+def test_phi_checks_every_array_entry(weight, outside):
+    # one entry outside the domain rejects the whole array; numpy scalars
+    # and 0-d arrays are accepted like floats
+    side = ReinsurerSide(own_delta=4.0, rival_weight=weight, delta0=5.0)
+    for f in (phi, phi_prime):
+        with pytest.raises(NonpositiveInput):
+            f(side, np.array([1.0, outside, 2.0]))
+        with pytest.raises(NonpositiveInput):
+            f(side, np.array([[1.0, 2.0], [3.0, outside]]))
+        value = pytest.approx(f(side, 1.5), rel=1e-15)
+        assert f(side, np.float64(1.5)) == value
+        assert f(side, np.array(1.5)) == value
+        assert f(side, np.array([0.5, 1.5]))[1] == value
+
+
 @given(x=st.floats(min_value=1e-3, max_value=1e3),
        bump=st.floats(min_value=1e-3, max_value=10.0),
        own=positive, w=st.floats(min_value=0.0, max_value=5.0), d0=positive)
@@ -154,6 +171,15 @@ def test_phi_and_phi_prime_match_exact_rationals(rng):
         assert abs(Fraction(phi(side, float(x))) - value) <= 1e-15 * value
         assert abs(Fraction(phi_prime(side, float(x))) - slope) \
             <= 2e-15 * slope
+
+
+def test_phi_and_phi_prime_where_a_squared_ratio_overflows():
+    # phi/x = 1e160, so (phi/x)**2 leaves the float range, while phi = 1 and
+    # phi' = (1 + w)*(d0*phi/(a*x + b))**2 + w*(phi/x)**2 is about 1e120
+    side, x = ReinsurerSide(1.0, 1e-200, 1.0), 1e-160
+    value, slope = _exact_phi_and_slope(side, x)
+    assert phi(side, x) == 1.0
+    assert abs(Fraction(phi_prime(side, x)) - slope) <= 2e-15 * slope
 
 
 # -- derivatives --------------------------------------------------------------

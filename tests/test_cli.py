@@ -1,7 +1,10 @@
+import ast
 import csv
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -253,6 +256,37 @@ def test_verify_bad_simulation_option_is_input_error(params_file, option,
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflows
+@pytest.mark.parametrize("horizon, failing", [
+    (5.0, {"insurer-value-vs-gaussian", "mc-insurer",
+           "no-improving-deviations"}),
+    (2.5, {"mc-insurer"}),
+], ids=["utility-overflows", "variance-overflows"])
+def test_verify_past_the_float_range_gives_a_verdict(tmp_path, capsys,
+                                                      horizon, failing):
+    # the insurer's utility is -exp(e)/d0 with e near 993 at horizon 5, past
+    # the float range, and near 496 at horizon 2.5, where the square of a
+    # Monte Carlo deviation overflows. Its terminal utility is lognormal
+    # with log-sd 8.9 and 6.3, which no feasible path count estimates, so
+    # its Monte Carlo check fails at both; the value and deviation checks at
+    # horizon 5 fail only because -inf - (-inf) is NaN. The verdict is
+    # printed, and a check fails exactly where one of its numbers is not
+    # finite
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "delta0": 200.0, "delta1": 4.0, "delta2": 6.0,
+        "lambda1": 0.3, "lambda2": 0.7, "horizon": horizon,
+    }))
+    status = main(["verify", "--params", str(path), "--paths", "2000"])
+    payload = json.loads(capsys.readouterr().out)
+    assert (status, payload["passed"]) == (3, False)
+    assert {c["name"] for c in payload["checks"] if not c["passed"]} == failing
+    for check in payload["checks"]:
+        numbers = [float(v) for v in re.findall(r"=(\S+)", check["detail"])]
+        assert numbers
+        assert check["passed"] is all(map(math.isfinite, numbers)), check
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only oracle; importing it would cost most of a CLI call
     src = str(Path(stacknash.cli.__file__).parents[1])
@@ -261,3 +295,18 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", "import sys, stacknash.cli; "
          "assert 'scipy' not in sys.modules, 'scipy was imported'"],
         env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_solve_path_modules_do_not_import_numpy():
+    # numpy serves the Monte Carlo only; the modules that solve, value and
+    # differentiate the equilibrium are plain Python
+    package = Path(stacknash.cli.__file__).parent
+    for name in ("model", "bestresponse", "equilibrium", "sensitivity",
+                 "valuation"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert "numpy" not in imported, f"{name}.py imports numpy"

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stacknash import (DEFAULT_PARAMS, ExistenceVerdict, InvalidParams,
-                       ModelParams, NoEquilibrium, SolverFailure, equilibrium,
-                       existence, limit_profile, phi, reinsurer_side, solve)
+                       ModelParams, NoEquilibrium, PremiumPair, SolverFailure,
+                       equilibrium, existence, limit_profile, phi,
+                       reinsurer_side, residual, solve)
 from stacknash.equilibrium import _MAX_ITERATIONS, _TOLERANCE
 
 from conftest import random_params
@@ -193,6 +194,30 @@ def test_solve_accurate_across_scales(deltas, lambdas):
     eq = solve(params)
     assert _relative_residual(params, eq) <= _TOLERANCE
     assert eq.p_star.p1 + eq.p_star.p2 <= 1.0
+
+
+@pytest.mark.parametrize("params, expected", [
+    (DEFAULT_PARAMS, (2.724975723221107, 3.9976722062534957, 6)),
+    (replace(DEFAULT_PARAMS, delta0=1.9303303151758863e-06,
+             delta1=12264837.599860784, delta2=0.002769527950025365,
+             lambda1=0.0, lambda2=1.5285748235745633),
+     (0.0018124677695554176, 0.0027704926014921714, 2)),
+    (replace(DEFAULT_PARAMS, lambda1=0.0, lambda2=0.0),
+     (5.890547986641938, 7.755114205895702, 0)),
+], ids=["newton-on-theta1", "newton-on-theta2", "closed-form"])
+def test_solve_bits_on_every_path(params, expected):
+    # exact loadings and step counts of each solver path; a change to any
+    # bit is a change of the solver's arithmetic, not noise
+    eq = solve(params)
+    assert (eq.theta_star.theta1, eq.theta_star.theta2,
+            eq.iterations) == expected
+
+
+def test_residual_where_a_squared_ratio_overflows():
+    # phi_i(x)/x is near 4e170 and 6e170: the slope's square (phi/x)**2 is
+    # out of range, phi is not, and the defect is phi1 + phi2 = 4 + 6
+    params = replace(DEFAULT_PARAMS, lambda1=1e-200, lambda2=1e-200)
+    assert residual(params, PremiumPair(1e-170, 1e-170)) == 10.0
 
 
 def test_newton_step_limit(monkeypatch):
