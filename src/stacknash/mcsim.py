@@ -8,6 +8,9 @@ X_i(T) - lambda_j*X_j(T)) is mean - diffusion*W(T) in the one shared Brownian
 value W(T). Each law is written once: the Gaussian oracles use its moments, and
 the Monte Carlo samples it exactly from Philox draws of W(T). For a given seed,
 the draws of a smaller batch are the first draws of a larger one.
+Memory does not grow with the path count or the grid: W(T) is drawn in chunks
+whose moments are merged pairwise (Chan, Golub and LeVeque 1979), and the
+cession simplex is searched by row blocks.
 """
 
 from __future__ import annotations
@@ -20,6 +23,13 @@ import numpy as np
 from .bestresponse import ReinsurerSide, cession_shares, reinsurer_side
 from .model import (CessionPair, Equilibrium, InvalidParams, ModelParams,
                     PremiumPair)
+
+# paths per Monte Carlo chunk: 2 MB per float64 array. Kept at 2**18 or more,
+# as smaller arrays leave glibc's mmap threshold low and slow later
+# allocations of 1-2 MB in the same process
+_CHUNK = 1 << 18
+# p1 rows of the cession grid per block of the insurer's deviation search
+_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -42,7 +52,8 @@ class SimReport:
 
 def _utility(delta: float, mean, variance):
     """Expected exponential utility of a normal terminal law."""
-    return -np.exp(-delta * mean + 0.5 * delta * delta * variance) / delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -np.exp(-delta * mean + 0.5 * delta * delta * variance) / delta
 
 
 def _insurer_law(params: ModelParams, theta: PremiumPair, p1, p2):
@@ -98,24 +109,18 @@ def gaussian_utility_reinsurer(params: ModelParams, theta: PremiumPair,
     return float(_utility(side.own_delta, mean, var))
 
 
+def _philox(config: SimConfig) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=config.seed))
+
+
 def brownian_total_increments(params: ModelParams, config: SimConfig) -> np.ndarray:
     """Terminal Brownian values W(T), one per path, shared by all players."""
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    return math.sqrt(params.horizon) * rng.standard_normal(config.paths)
+    return math.sqrt(params.horizon) * _philox(config).standard_normal(config.paths)
 
 
-def _report(samples: np.ndarray) -> SimReport:
-    estimate = float(samples.mean())
-    spread = float(samples.std(ddof=1)) if len(samples) > 1 else 0.0
-    return SimReport(estimate=estimate,
-                     std_error=spread / math.sqrt(len(samples)))
-
-
-def simulate_utilities(params: ModelParams, theta: PremiumPair,
-                       p: CessionPair, config: SimConfig) -> dict[str, SimReport]:
-    """Seeded Monte Carlo estimates of each player's expected utility under
-    constant strategies; keys 'insurer', 'reinsurer1', 'reinsurer2'."""
-    w = brownian_total_increments(params, config)
+def _laws(params: ModelParams, theta: PremiumPair, p: CessionPair) -> dict:
+    """(risk aversion, mean, diffusion) of each player's terminal quantity
+    under constant strategies; keys 'insurer', 'reinsurer1', 'reinsurer2'."""
     laws = {"insurer": (params.delta0,
                         *_insurer_law(params, theta, p.p1, p.p2))}
     for i in (1, 2):
@@ -123,8 +128,51 @@ def simulate_utilities(params: ModelParams, theta: PremiumPair,
         laws[f"reinsurer{i}"] = (side.own_delta, *_reinsurer_law(
             params, side, *side.own_rival(theta.theta1, theta.theta2),
             *side.own_rival(p.p1, p.p2)))
-    return {player: _report(-np.exp(delta * (diffusion * w - mean)) / delta)
-            for player, (delta, mean, diffusion) in laws.items()}
+    return laws
+
+
+def simulate_utilities(params: ModelParams, theta: PremiumPair,
+                       p: CessionPair, config: SimConfig) -> dict[str, SimReport]:
+    """Seeded Monte Carlo estimates of each player's expected utility under
+    constant strategies; keys 'insurer', 'reinsurer1', 'reinsurer2'. Draws
+    the same W(T) as ``brownian_total_increments`` in chunks of _CHUNK
+    paths."""
+    laws = _laws(params, theta, p)
+    # per player: paths, sum and sum of squared deviations so far
+    moments = dict.fromkeys(laws, (0, 0.0, 0.0))
+    rng, scale = _philox(config), math.sqrt(params.horizon)
+    w = np.empty(min(_CHUNK, config.paths))  # W(T) of one chunk
+    u = np.empty_like(w)  # one player's utility samples, then deviations
+    for start in range(0, config.paths, _CHUNK):
+        k = min(_CHUNK, config.paths - start)
+        w, u = w[:k], u[:k]  # shorter only for the last chunk
+        rng.standard_normal(out=w)
+        w *= scale
+        for player, (delta, mean, diffusion) in laws.items():
+            # u = -exp(delta*(diffusion*w - mean))/delta, in place; inf and
+            # NaN carry into the moments, where no check passes on them
+            np.multiply(diffusion, w, out=u)
+            with np.errstate(over="ignore", invalid="ignore"):
+                u -= mean
+                u *= delta
+                np.exp(u, out=u)
+                np.negative(u, out=u)
+                u /= delta
+                total = float(u.sum())
+                u -= total / k
+                u *= u
+                squares = float(u.sum())
+            n, s, m2 = moments[player]
+            # the pairwise update; float arithmetic carries inf and NaN
+            gap = total / k - s / n if n else 0.0
+            moments[player] = (n + k, s + total,
+                               m2 + squares + gap * gap * (n * k / (n + k)))
+    reports = {}
+    for player, (n, s, m2) in moments.items():
+        spread = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
+        reports[player] = SimReport(estimate=s / n,
+                                    std_error=spread / math.sqrt(n))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -146,12 +194,17 @@ class DeviationReport:
 def _insurer_margin(params: ModelParams, theta: PremiumPair,
                     p: CessionPair, step: float) -> float:
     grid = np.arange(0.0, 1.0 + 0.5 * step, step)
-    p1, p2 = np.meshgrid(grid, grid, indexing="ij")
-    mask = p1 + p2 <= 1.0
-    p1, p2 = p1[mask], p2[mask]
-    mean, var = insurer_terminal_moments(params, theta, p1, p2)
-    candidates = _utility(params.delta0, mean, var)
-    return float(candidates.max()) - gaussian_utility_insurer(params, theta, p)
+    block_max = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(grid), _ROWS):
+            p1, p2 = np.meshgrid(grid[start:start + _ROWS], grid, indexing="ij")
+            mask = p1 + p2 <= 1.0
+            mean, var = insurer_terminal_moments(params, theta,
+                                                 p1[mask], p2[mask])
+            block_max.append(_utility(params.delta0, mean, var)
+                             .max(initial=-np.inf))
+    # np.max, unlike the builtin max, returns NaN if a candidate is NaN
+    return float(np.max(block_max)) - gaussian_utility_insurer(params, theta, p)
 
 
 def _reinsurer_margin(params: ModelParams, theta: PremiumPair,

@@ -16,6 +16,7 @@ import stacknash.cli
 from stacknash import (DEFAULT_PARAMS, NonpositiveInput, insurer_response,
                        params_to_json, residual)
 from stacknash.cli import FIGURE_SWEEPS, SWEEP_HEADER, main
+from stacknash.mcsim import _CHUNK
 
 # sha256 of each `figures --steps 12` file, frozen from a verified run. The
 # p, theta and f figures of one parameter render the same sweep, hence the
@@ -285,6 +286,33 @@ def test_verify_past_the_float_range_gives_a_verdict(tmp_path, capsys,
         numbers = [float(v) for v in re.findall(r"=(\S+)", check["detail"])]
         assert numbers
         assert check["passed"] is all(map(math.isfinite, numbers)), check
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("horizon, failing", [
+    (5.0, {"insurer-value-vs-gaussian", "mc-insurer",
+           "no-improving-deviations"}),
+    (2.5, {"mc-insurer"}),
+], ids=["utility-overflows", "variance-overflows"])
+@pytest.mark.parametrize("paths", [2_000, _CHUNK + 1],
+                         ids=["one-chunk", "two-chunks"])
+def test_verify_past_the_float_range_writes_no_numpy_warning(
+        tmp_path, capsys, horizon, failing, paths):
+    # the same verdict as above, with no RuntimeWarning (which this test
+    # turns into an error) on stderr; past one chunk the non-finite sums
+    # and squares go through the pairwise merge as well
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "delta0": 200.0, "delta1": 4.0, "delta2": 6.0,
+        "lambda1": 0.3, "lambda2": 0.7, "horizon": horizon,
+    }))
+    status = main(["verify", "--params", str(path), "--paths", str(paths)])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert status == 3
+    assert {c["name"] for c in payload["checks"] if not c["passed"]} == failing
+    assert "Warning" not in captured.err
+    assert all(line.startswith("[") for line in captured.err.splitlines())
 
 
 def test_cli_import_leaves_scipy_unloaded():

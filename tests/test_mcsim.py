@@ -5,14 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import stacknash.mcsim
 from stacknash import (DEFAULT_PARAMS, CessionPair, InvalidParams,
                        PremiumPair, SimConfig, deviation_test,
                        gaussian_utility_insurer, gaussian_utility_reinsurer,
                        insurer_response, simulate_utilities, solve,
                        value_insurer)
-from stacknash.mcsim import brownian_total_increments
+from stacknash.mcsim import (_CHUNK, _ROWS, _insurer_margin, _laws,
+                             _utility, brownian_total_increments,
+                             insurer_terminal_moments)
 
-from conftest import random_params
+from conftest import random_params, simplex_grid
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +163,105 @@ def test_simulation_allocates_three_path_arrays(default_eq):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * 8 * paths
+
+
+@pytest.mark.parametrize("paths", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   3 * _CHUNK + 7])
+def test_chunk_merge_matches_one_shot_moments(default_eq, paths):
+    # the reference: numpy's mean and std(ddof=1) over all the samples at
+    # once. One chunk gives the same bits; the pairwise merge of several
+    # moves each figure by a few ulps at most
+    theta, p = default_eq.theta_star, default_eq.p_star
+    config = SimConfig(paths=paths, seed=11)
+    w = brownian_total_increments(DEFAULT_PARAMS, config)
+    reports = simulate_utilities(DEFAULT_PARAMS, theta, p, config)
+    ulps = 8 * np.finfo(float).eps
+    for player, (delta, mean, diffusion) in _laws(DEFAULT_PARAMS, theta,
+                                                  p).items():
+        samples = -np.exp(delta * (diffusion * w - mean)) / delta
+        estimate = samples.mean()
+        std_error = samples.std(ddof=1) / math.sqrt(paths) if paths > 1 \
+            else 0.0
+        report = reports[player]
+        if paths <= _CHUNK:
+            assert (report.estimate, report.std_error) \
+                == (estimate, std_error), player
+        assert report.estimate == pytest.approx(estimate, rel=ulps, abs=0)
+        assert report.std_error == pytest.approx(std_error, rel=ulps, abs=0)
+        assert report.std_error > 0.0 or paths == 1
+
+
+def test_simulation_memory_does_not_grow_with_paths(default_eq):
+    # W(T) and one player's samples of one chunk: two chunk arrays at any
+    # path count, where an unchunked run holds 8 bytes per path per array
+    args = (DEFAULT_PARAMS, default_eq.theta_star, default_eq.p_star)
+    simulate_utilities(*args, SimConfig(paths=1_000, seed=1))  # warm up
+    for paths in (1_000_000, 10_000_000):
+        tracemalloc.start()
+        try:
+            simulate_utilities(*args, SimConfig(paths=paths, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * _CHUNK, paths
+
+
+def test_deviation_search_memory_is_a_few_row_blocks(default_eq):
+    # a search over the whole 1001 x 1001 cession grid at once holds arrays
+    # of 8 MB each; its row blocks stay below one of them
+    deviation_test(DEFAULT_PARAMS, default_eq, grid_step=1e-3)  # warm up
+    tracemalloc.start()
+    try:
+        deviation_test(DEFAULT_PARAMS, default_eq, grid_step=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1001 ** 2
+
+
+def _full_grid_margin(params, theta, p, step):
+    # the search over the whole simplex at once
+    mean, var = insurer_terminal_moments(params, theta, *simplex_grid(step))
+    return float(_utility(params.delta0, mean, var).max()) \
+        - gaussian_utility_insurer(params, theta, p)
+
+
+@pytest.mark.parametrize("step, draws", [(1e-3, 8), (0.007, 40), (0.05, 40),
+                                         (0.0157, 40)])
+def test_row_blocks_match_full_grid(step, draws):
+    # grid lengths 1001, 143, 21 and 65 are not multiples of _ROWS; at
+    # 0.0157 the last row, p1 = 1.0048, lies outside the simplex alone in
+    # its block
+    assert len(np.arange(0.0, 1.0 + 0.5 * step, step)) % _ROWS
+    rng = np.random.default_rng(2024)
+    for _ in range(draws):
+        params = random_params(rng)
+        theta = solve(params).theta_star
+        theta = PremiumPair(theta.theta1 * rng.uniform(0.5, 2.0),
+                            theta.theta2 * rng.uniform(0.5, 2.0))
+        p = insurer_response(params.delta0, theta)
+        assert _insurer_margin(params, theta, p, step) \
+            == _full_grid_margin(params, theta, p, step)
+
+
+def test_nan_candidate_counts_as_improving(default_eq, monkeypatch):
+    # one NaN candidate in a late block, after finite block maxima; the
+    # builtin max would skip it
+    moments = stacknash.mcsim.insurer_terminal_moments
+
+    def nan_at_the_last_point(params, theta, p1, p2):
+        mean, var = moments(params, theta, p1, p2)
+        if np.ndim(mean) and p1.min() > 0.9:
+            mean = mean.copy()
+            mean[-1] = math.nan
+        return mean, var
+
+    monkeypatch.setattr(stacknash.mcsim, "insurer_terminal_moments",
+                        nan_at_the_last_point)
+    report = deviation_test(DEFAULT_PARAMS, default_eq, grid_step=1e-3)
+    assert math.isnan(report.insurer_margin)
+    assert report.improving_deviations == 1
+    assert not report.worst_margin <= 0.0
 
 
 def test_sim_config_validation():
