@@ -13,9 +13,8 @@ from .model import (DEFAULT_PARAMS, CessionPair, Equilibrium, InvalidParams,
 from .mcsim import (DeviationReport, SimConfig, SimReport, deviation_test,
                     gaussian_utility_insurer, gaussian_utility_reinsurer,
                     simulate_utilities)
-from .sensitivity import (DegenerateDenominator, Method, SensitivityReport,
-                          analytic_report, finite_difference_report,
-                          theta_sensitivity)
+from .sensitivity import (Method, SensitivityReport, analytic_report,
+                          finite_difference_report, theta_sensitivity)
 from .valuation import (f0_rate, premium_identity_gap, reinsurer_rate,
                         value_insurer, value_reinsurer, welfare_index)
 

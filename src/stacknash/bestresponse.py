@@ -115,6 +115,17 @@ def _phi_and_slope(side: ReinsurerSide, x):
         return value, (1.0 + w) * r * r + w * q * q
 
 
+def _slope_and_inelasticity(side: ReinsurerSide, x):
+    """(phi', 1 - e) with e = x*phi'/phi the elasticity of phi, from one
+    evaluation: 1 - e = phi*(2/a + (1 + w)*d0**2*b/(a*(a*x + b)**2)), a sum
+    of positive terms, at every x (the w/x terms of S and of x*S' cancel)."""
+    value, slope = _phi_and_slope(side, x)
+    d0, di, w = side.delta0, side.own_delta, side.rival_weight
+    a, b = d0 + 2.0 * di, (1.0 + w) * (d0 * di)
+    ab = a * x + b
+    return slope, value * (2.0 / a + (1.0 + w) * d0 * d0 * b / (a * ab * ab))
+
+
 def phi(side: ReinsurerSide, x):
     """Reinsurer's best-response loading given the rival's loading ``x``.
 

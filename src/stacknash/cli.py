@@ -90,18 +90,14 @@ def _sweep_row(base: ModelParams, parameter: str, value: float) -> list[str]:
         eq = solve(params)
     except NoEquilibrium:
         return [_fmt(value), "no-equilibrium"] + [""] * (len(SWEEP_HEADER) - 2)
-    try:
-        report = sensitivity.analytic_report(params, eq, parameter)
-        slopes = [_fmt(v) for v in (report.d_theta1, report.d_theta2,
-                                    report.d_p1, report.d_p2)]
-    except sensitivity.DegenerateDenominator:  # next to the boundary
-        slopes = [""] * 4
+    report = sensitivity.analytic_report(params, eq, parameter)
     return [_fmt(v) for v in (
         value, eq.theta_star.theta1, eq.theta_star.theta2,
         eq.p_star.p1, eq.p_star.p2, eq.f0_rate,
         valuation.welfare_index(params, eq, 1),
         valuation.welfare_index(params, eq, 2),
-    )] + slopes
+        report.d_theta1, report.d_theta2, report.d_p1, report.d_p2,
+    )]
 
 
 def _render_sweep(base: ModelParams, parameter: str, start: float,

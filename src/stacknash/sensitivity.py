@@ -10,21 +10,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .bestresponse import (ReinsurerSide, cession_partials, phi_partials,
-                           phi_prime, reinsurer_side)
+from .bestresponse import (ReinsurerSide, _slope_and_inelasticity,
+                           cession_partials, phi_partials, reinsurer_side)
 from .equilibrium import solve
 from .model import Equilibrium, ModelParams
 
 PARAMETERS = ("delta0", "delta1", "delta2", "lambda1", "lambda2")
 
-#: Central-difference step; balances truncation error against solver noise
-#: at the solver's relative residual tolerance of 1e-12.
+#: Relative step of the finite differences (absolute at a zero parameter);
+#: truncation O(step**2) and rounding noise ulp(theta)/step, each near 10**-10.
 DEFAULT_STEP = 1e-5
-
-
-class DegenerateDenominator(ArithmeticError):
-    """The implicit-function denominator 1 - phi1'*phi2' is numerically zero,
-    i.e. the parameters sit too close to the existence boundary."""
 
 
 class Method(enum.Enum):
@@ -58,23 +53,21 @@ def theta_sensitivity(params: ModelParams, eq: Equilibrium,
                       parameter: str) -> tuple[float, float]:
     """Analytic (d theta1*/dq, d theta2*/dq) via the implicit-function quotient.
 
-    The shared denominator 1 - phi1'(t2*)*phi2'(t1*) is strictly positive at
-    the fixed point whenever lambda1*lambda2 < 1.
+    The shared denominator 1 - phi1'(t2*)*phi2'(t1*) is c1 + c2 - c1*c2, with
+    ci = 1 - (elasticity of phi_i) in (0, 1] a sum of positive terms, so it
+    is positive as computed, also next to the existence boundary.
     """
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown parameter {parameter!r}")
     t1, t2 = eq.theta_star.theta1, eq.theta_star.theta2
     side1, side2 = reinsurer_side(params, 1), reinsurer_side(params, 2)
-    g1 = phi_prime(side1, t2)
-    g2 = phi_prime(side2, t1)
-    denom = 1.0 - g1 * g2
-    if denom <= 1e-10:
-        raise DegenerateDenominator(
-            f"1 - phi1'*phi2' = {denom:.3e}; too close to the existence boundary")
+    g1, c1 = _slope_and_inelasticity(side1, t2)
+    g2, c2 = _slope_and_inelasticity(side2, t1)
+    kappa = 1.0 / (c1 + c2 - c1 * c2)
     dphi1 = _phi_parameter_partial(side1, parameter, t2)
     dphi2 = _phi_parameter_partial(side2, parameter, t1)
-    d_t1 = (g1 * dphi2 + dphi1) / denom
-    d_t2 = (g2 * dphi1 + dphi2) / denom
+    d_t1 = (g1 * dphi2 + dphi1) * kappa
+    d_t2 = (g2 * dphi1 + dphi2) * kappa
     return d_t1, d_t2
 
 
@@ -97,18 +90,25 @@ def analytic_report(params: ModelParams, eq: Equilibrium,
 
 def finite_difference_report(params: ModelParams,
                              parameter: str) -> SensitivityReport:
-    """Central differences of the re-solved equilibrium, step DEFAULT_STEP."""
+    """Differences of the re-solved equilibrium: central with the relative
+    step DEFAULT_STEP, and at a zero parameter one-sided and second order,
+    (4f(h) - 3f(0) - f(2h))/(2h) with h = DEFAULT_STEP."""
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown parameter {parameter!r}")
     base = getattr(params, parameter)
-    hi = solve(replace(params, **{parameter: base + DEFAULT_STEP}))
-    lo = solve(replace(params, **{parameter: base - DEFAULT_STEP}))
-    scale = 1.0 / (2.0 * DEFAULT_STEP)
-    return SensitivityReport(
-        parameter,
-        (hi.theta_star.theta1 - lo.theta_star.theta1) * scale,
-        (hi.theta_star.theta2 - lo.theta_star.theta2) * scale,
-        (hi.p_star.p1 - lo.p_star.p1) * scale,
-        (hi.p_star.p2 - lo.p_star.p2) * scale,
-        Method.FINITE_DIFFERENCE,
-    )
+
+    def outputs(value: float) -> tuple[float, float, float, float]:
+        eq = solve(replace(params, **{parameter: value}))
+        return (eq.theta_star.theta1, eq.theta_star.theta2,
+                eq.p_star.p1, eq.p_star.p2)
+
+    if base > 0.0:
+        step = DEFAULT_STEP * base
+        hi, lo = outputs(base + step), outputs(base - step)
+        slopes = [(u - v) / (2.0 * step) for u, v in zip(hi, lo)]
+    else:
+        step = DEFAULT_STEP
+        at0, at1, at2 = outputs(0.0), outputs(step), outputs(2.0 * step)
+        slopes = [(4.0 * f1 - 3.0 * f0 - f2) / (2.0 * step)
+                  for f0, f1, f2 in zip(at0, at1, at2)]
+    return SensitivityReport(parameter, *slopes, Method.FINITE_DIFFERENCE)

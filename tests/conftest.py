@@ -1,10 +1,12 @@
 """Shared test helpers: random parameter draws and grid-search oracles."""
 
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from stacknash import DEFAULT_PARAMS, ModelParams
 
@@ -26,6 +28,24 @@ def random_params(rng: np.random.Generator, max_product: float = 0.99,
         if l1 * l2 < max_product:
             return replace(DEFAULT_PARAMS, delta0=d0, delta1=d1, delta2=d2,
                            lambda1=l1, lambda2=l2)
+
+
+def wide_deltas():
+    """Three risk aversions, each log-uniform in [1e-6, 1e8]."""
+    return st.tuples(*[st.floats(min_value=-6.0, max_value=8.0)
+                       .map(lambda d: 10.0 ** d)] * 3)
+
+
+@st.composite
+def wide_lambdas(draw):
+    """lambda1*lambda2 = 1 - eps with eps in [1e-15, 1] and lambda1/lambda2 =
+    ratio**2 with ratio in [1e-2, 1e2], both log-uniform; then none, both or
+    exactly one of them (on either side) set to zero."""
+    k = math.sqrt(1.0 - 10.0 ** draw(st.floats(min_value=-15.0, max_value=0.0)))
+    ratio = 10.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
+    zeros = draw(st.sampled_from(((), (0, 1), (0,), (1,))))
+    return tuple(0.0 if i in zeros else lam
+                 for i, lam in enumerate((k * ratio, k / ratio)))
 
 
 def simplex_grid(step: float):

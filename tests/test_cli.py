@@ -130,15 +130,21 @@ def test_sweep_flags_no_equilibrium_rows(capsys):
         assert float(row[0]) * DEFAULT_PARAMS.lambda1 >= 1.0
 
 
-def test_sweep_next_to_boundary_leaves_sensitivities_empty(capsys):
-    # at lambda1*lambda2 = 1 - 1e-11 the implicit-function denominator
-    # 1 - phi1'*phi2' is 1e-11: the row keeps its equilibrium, rate and
-    # welfare columns and leaves the four sensitivity cells empty
+def test_sweep_next_to_boundary_prints_every_sensitivity(capsys):
+    # at lambda1*lambda2 = 1 - 1e-11, where 1 - phi1'*phi2' is about 1e-11
+    # (kappa = 1.0000006574e11), every cell of the row is printed
     assert main(["sweep", "--param", "lambda2", "--from", "3.3333333333",
                  "--to", "3.34", "--steps", "2"]) == 0
     first, second = _rows(capsys.readouterr().out)
-    assert "" not in first[:8]
-    assert first[8:] == ["", "", "", ""]
+    assert "" not in first
+    # the printed digits of an 80-digit reference
+    assert first[8:10] == ["-0.37241379311", "-1.24137931035"]
+    # d_p carries theta's forward error, about kappa ulps (0.07*kappa*2**-53
+    # seen): the references are 0.12487247500581421 and -0.010283615588606836
+    for cell, ref in zip(first[10:], (0.12487247500581421,
+                                      -0.010283615588606836)):
+        assert math.isfinite(float(cell))
+        assert abs(float(cell) - ref) <= 2.0 * 1.0000006574105828e11 * 2**-53
     assert second[1] == "no-equilibrium"
 
 

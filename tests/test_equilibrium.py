@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
 from stacknash import (DEFAULT_PARAMS, ExistenceVerdict, InvalidParams,
                        ModelParams, NoEquilibrium, PremiumPair, SolverFailure,
@@ -13,7 +12,7 @@ from stacknash import (DEFAULT_PARAMS, ExistenceVerdict, InvalidParams,
                        reinsurer_side, residual, solve)
 from stacknash.equilibrium import _MAX_ITERATIONS, _TOLERANCE
 
-from conftest import random_params
+from conftest import random_params, wide_deltas, wide_lambdas
 
 # Frozen by the pre-build oracle: grid scan of g(t1) = phi1(phi2(t1)) - t1 at
 # step 1e-6 on [1e-6, delta1 + delta0/2], bisected to convergence.
@@ -167,21 +166,7 @@ def test_corner_grid_meets_relative_tolerance():
                 assert _relative_residual(params, solve(params)) <= _TOLERANCE
 
 
-@st.composite
-def _wide_lambdas(draw):
-    # lambda1*lambda2 = 1 - eps with eps in [1e-15, 1] and lambda1/lambda2 =
-    # ratio**2 with ratio in [1e-2, 1e2], both log-uniform; then none, both
-    # or exactly one of them (on either side) set to zero
-    k = math.sqrt(1.0 - 10.0 ** draw(st.floats(min_value=-15.0, max_value=0.0)))
-    ratio = 10.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
-    zeros = draw(st.sampled_from(((), (0, 1), (0,), (1,))))
-    return tuple(0.0 if i in zeros else lam
-                 for i, lam in enumerate((k * ratio, k / ratio)))
-
-
-@given(deltas=st.tuples(*[st.floats(min_value=-6.0, max_value=8.0)
-                          .map(lambda d: 10.0 ** d)] * 3),
-       lambdas=_wide_lambdas())
+@given(deltas=wide_deltas(), lambdas=wide_lambdas())
 # lambda1 = 0 < lambda2 with delta0 << delta1: Newton on theta1, started
 # orders of magnitude above the root, stepped to its left and stopped there
 @example(deltas=(1.9303303151758863e-06, 12264837.599860784,
