@@ -6,13 +6,11 @@ from .bestresponse import (CessionPartialSet, NonpositiveInput,
                            cession_partials, insurer_response, phi,
                            phi_partials, phi_prime, reinsurer_side)
 from .equilibrium import (ExistenceVerdict, NoEquilibrium, SolverFailure,
-                          existence, limit_profile, residual, solve)
+                          existence, limit_profile, relative_residual,
+                          residual, solve)
 from .model import (DEFAULT_PARAMS, CessionPair, Equilibrium, InvalidParams,
                     ModelParams, PremiumPair, ValidationResult,
                     params_from_json, params_to_json, validate)
-from .mcsim import (DeviationReport, SimConfig, SimReport, deviation_test,
-                    gaussian_utility_insurer, gaussian_utility_reinsurer,
-                    simulate_utilities)
 from .sensitivity import (Method, SensitivityReport, analytic_report,
                           finite_difference_report, theta_sensitivity)
 from .valuation import (f0_rate, premium_identity_gap, reinsurer_rate,

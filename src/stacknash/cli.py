@@ -15,9 +15,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import mcsim, sensitivity, valuation
+from . import sensitivity, valuation
 from .bestresponse import reinsurer_side
-from .equilibrium import NoEquilibrium, residual, solve
+from .equilibrium import NoEquilibrium, relative_residual, solve
 from .model import (DEFAULT_PARAMS, Equilibrium, InvalidParams, ModelParams,
                     params_from_json, validate)
 
@@ -132,21 +132,23 @@ def cmd_sweep(args) -> int:
 def cmd_figures(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    texts = {spec: _render_sweep(DEFAULT_PARAMS, *spec, args.steps)
+             for spec in dict.fromkeys(FIGURE_SWEEPS.values())}
     for name, spec in FIGURE_SWEEPS.items():
-        text = _render_sweep(DEFAULT_PARAMS, *spec, args.steps)
-        (out_dir / f"{name}.csv").write_text(text)
+        (out_dir / f"{name}.csv").write_text(texts[spec])
     return 0
 
 
-def _verify_checks(params: ModelParams, eq: Equilibrium,
-                   config: mcsim.SimConfig) -> list[dict]:
+def _verify_checks(params: ModelParams, eq: Equilibrium, config) -> list[dict]:
+    from . import mcsim  # numpy: only verify loads the Monte Carlo layer
     checks = []
 
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    defect = residual(params, eq.theta_star)
-    add("fixed-point-residual", defect <= 1e-10, f"residual={defect:.3e}")
+    defect = relative_residual(params, eq.theta_star)
+    add("fixed-point-residual", defect <= 1e-10,
+        f"relative_residual={defect:.3e}")
 
     gap = valuation.premium_identity_gap(params, eq.theta_star)
     add("value-rate-identity", abs(gap) <= 1e-12, f"gap={gap:.3e}")
@@ -179,8 +181,9 @@ def _verify_checks(params: ModelParams, eq: Equilibrium,
 
 
 def cmd_verify(args) -> int:
+    from .mcsim import SimConfig  # numpy, as in _verify_checks
     params = _load_params(args.params)
-    config = mcsim.SimConfig(paths=args.paths, seed=args.seed)
+    config = SimConfig(paths=args.paths, seed=args.seed)
     try:
         eq = solve(params)
     except NoEquilibrium as exc:

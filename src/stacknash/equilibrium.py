@@ -67,6 +67,14 @@ def residual(params: ModelParams, theta: PremiumPair) -> float:
                      theta))
 
 
+def relative_residual(params: ModelParams, theta: PremiumPair) -> float:
+    """Scale-free fixed-point defect |t1 - phi1(t2)|/t1 + |t2 - phi2(t1)|/t2,
+    the one ``solve`` accepts a root by."""
+    gap1, gap2 = _gaps(reinsurer_side(params, 1), reinsurer_side(params, 2),
+                       theta)
+    return gap1 / theta.theta1 + gap2 / theta.theta2
+
+
 def solve(params: ModelParams) -> Equilibrium:
     """Solve for the unique equilibrium of the two-layer game.
 

@@ -8,9 +8,10 @@ X_i(T) - lambda_j*X_j(T)) is mean - diffusion*W(T) in the one shared Brownian
 value W(T). Each law is written once: the Gaussian oracles use its moments, and
 the Monte Carlo samples it exactly from Philox draws of W(T). For a given seed,
 the draws of a smaller batch are the first draws of a larger one.
-Memory does not grow with the path count or the grid: W(T) is drawn in chunks
-whose moments are merged pairwise (Chan, Golub and LeVeque 1979), and the
-cession simplex is searched by row blocks.
+Memory does not grow with the path count, the grid or the scale of delta: W(T)
+is drawn in chunks whose moments are merged pairwise (Chan, Golub and LeVeque
+1979), the cession simplex is searched by row blocks, and a loading grid holds
+at most _LOADINGS points.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .model import (CessionPair, Equilibrium, InvalidParams, ModelParams,
 _CHUNK = 1 << 18
 # p1 rows of the cession grid per block of the insurer's deviation search
 _ROWS = 64
+# most loadings per reinsurer's deviation search: 512 KB per float64 array
+_LOADINGS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,9 @@ def _reinsurer_margin(params: ModelParams, theta: PremiumPair,
     side = reinsurer_side(params, i)
     di = side.own_delta
     _, t_j = side.own_rival(theta.theta1, theta.theta2)
-    grid = np.arange(step, di + params.delta0 / 2.0 + 0.5 * step, step)
+    top = di + params.delta0 / 2.0  # the asymptote of the best response
+    step = max(step, top / _LOADINGS)
+    grid = np.arange(step, top + 0.5 * step, step)
     mean, var = reinsurer_terminal_moments(params, grid, t_j, i)
     candidates = _utility(di, mean, var)
     return float(candidates.max()) - gaussian_utility_reinsurer(params, theta, i)
@@ -222,8 +227,10 @@ def deviation_test(params: ModelParams, eq: Equilibrium,
                    grid_step: float = 1e-3) -> DeviationReport:
     """Grid search for profitable unilateral deviations at a candidate
     equilibrium: the insurer over the cession simplex given theta*, each
-    reinsurer over its loading range given the rival's loading and the
-    insurer's responsive cession."""
+    reinsurer over its loading range (0, delta_i + delta0/2] given the
+    rival's loading and the insurer's responsive cession. The loading grid
+    is coarsened past _LOADINGS points, so its memory does not grow with
+    delta."""
     theta = eq.theta_star
     margins = (_insurer_margin(params, theta, eq.p_star, grid_step),
                _reinsurer_margin(params, theta, 1, grid_step),

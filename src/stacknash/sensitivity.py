@@ -17,7 +17,8 @@ from .model import Equilibrium, ModelParams
 
 PARAMETERS = ("delta0", "delta1", "delta2", "lambda1", "lambda2")
 
-#: Relative step of the finite differences (absolute at a zero parameter);
+#: Relative step of the finite differences (absolute at a zero parameter,
+#: relative to 1/lambda_j at a zero lambda whose rival lambda_j exceeds 1);
 #: truncation O(step**2) and rounding noise ulp(theta)/step, each near 10**-10.
 DEFAULT_STEP = 1e-5
 
@@ -90,25 +91,34 @@ def analytic_report(params: ModelParams, eq: Equilibrium,
 
 def finite_difference_report(params: ModelParams,
                              parameter: str) -> SensitivityReport:
-    """Differences of the re-solved equilibrium: central with the relative
-    step DEFAULT_STEP, and at a zero parameter one-sided and second order,
-    (4f(h) - 3f(0) - f(2h))/(2h) with h = DEFAULT_STEP."""
+    """Second-order differences of the re-solved equilibrium: central with
+    the relative step DEFAULT_STEP, else one-sided, (4f(h) - 3f(0) -
+    f(2h))/(2h). One-sided backwards, h = -DEFAULT_STEP*q, where the central
+    stencil would cross lambda1*lambda2 = 1; forwards at q = 0, with
+    h = DEFAULT_STEP, or DEFAULT_STEP/lambda_j at a zero lambda whose rival
+    lambda_j exceeds 1, so that 2*h*lambda_j < 1."""
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown parameter {parameter!r}")
     base = getattr(params, parameter)
+    rival = {"lambda1": params.lambda2,
+             "lambda2": params.lambda1}.get(parameter, 0.0)
 
     def outputs(value: float) -> tuple[float, float, float, float]:
         eq = solve(replace(params, **{parameter: value}))
         return (eq.theta_star.theta1, eq.theta_star.theta2,
                 eq.p_star.p1, eq.p_star.p2)
 
-    if base > 0.0:
-        step = DEFAULT_STEP * base
+    def one_sided(h: float) -> list[float]:
+        at0, at1, at2 = outputs(base), outputs(base + h), outputs(base + 2.0 * h)
+        return [(4.0 * f1 - 3.0 * f0 - f2) / (2.0 * h)
+                for f0, f1, f2 in zip(at0, at1, at2)]
+
+    step = DEFAULT_STEP * base
+    if base == 0.0:
+        slopes = one_sided(DEFAULT_STEP / max(1.0, rival))
+    elif (base + step) * rival >= 1.0:
+        slopes = one_sided(-step)
+    else:
         hi, lo = outputs(base + step), outputs(base - step)
         slopes = [(u - v) / (2.0 * step) for u, v in zip(hi, lo)]
-    else:
-        step = DEFAULT_STEP
-        at0, at1, at2 = outputs(0.0), outputs(step), outputs(2.0 * step)
-        slopes = [(4.0 * f1 - 3.0 * f0 - f2) / (2.0 * step)
-                  for f0, f1, f2 in zip(at0, at1, at2)]
     return SensitivityReport(parameter, *slopes, Method.FINITE_DIFFERENCE)

@@ -30,6 +30,16 @@ def random_params(rng: np.random.Generator, max_product: float = 0.99,
                            lambda1=l1, lambda2=l2)
 
 
+#: A valid input at large scale: loadings near 3.9e5 and 6.1e6. The solver
+#: accepts its root by the relative residual (3.0e-16) at an absolute defect
+#: of 1.16e-10, and a loading grid of step 1e-3 up to delta2 + delta0/2 would
+#: hold 3.5e10 points.
+LARGE_SCALE = {"delta0": 881831.3443155417, "delta1": 9768.467296259096,
+               "delta2": 34244454.642182745, "lambda1": 0.051778231966182364,
+               "lambda2": 0.6835258309094595, "mu": 5.0, "c": 5.0,
+               "sigma": 2.3869295150604455e-06}
+
+
 def wide_deltas():
     """Three risk aversions, each log-uniform in [1e-6, 1e8]."""
     return st.tuples(*[st.floats(min_value=-6.0, max_value=8.0)

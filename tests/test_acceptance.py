@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 from stacknash import (DEFAULT_PARAMS, CessionPair, NoEquilibrium, PremiumPair,
-                       SimConfig, analytic_report, deviation_test,
-                       finite_difference_report, insurer_response,
-                       limit_profile, phi, premium_identity_gap,
-                       reinsurer_side, residual, simulate_utilities, solve,
+                       analytic_report, finite_difference_report,
+                       insurer_response, limit_profile, phi,
+                       premium_identity_gap, reinsurer_side, residual, solve,
                        theta_sensitivity, value_insurer)
 from stacknash.cli import _render_sweep
-from stacknash.mcsim import (_utility, insurer_terminal_moments,
-                             reinsurer_terminal_moments)
+from stacknash.mcsim import (SimConfig, _utility, deviation_test,
+                             insurer_terminal_moments,
+                             reinsurer_terminal_moments, simulate_utilities)
 from stacknash.sensitivity import PARAMETERS
 
 from conftest import random_params, simplex_grid

@@ -18,6 +18,8 @@ from stacknash import (DEFAULT_PARAMS, NonpositiveInput, insurer_response,
 from stacknash.cli import FIGURE_SWEEPS, SWEEP_HEADER, main
 from stacknash.mcsim import _CHUNK
 
+from conftest import LARGE_SCALE
+
 # sha256 of each `figures --steps 12` file, frozen from a verified run. The
 # p, theta and f figures of one parameter render the same sweep, hence the
 # same bytes; any change to these digests is a change of the figure data.
@@ -204,6 +206,21 @@ def test_figures_outputs(tmp_path):
     assert before == after
 
 
+def test_figures_render_each_distinct_sweep_once(tmp_path, monkeypatch):
+    # the p, theta and f figures of one parameter share one sweep
+    calls = []
+    render = stacknash.cli._render_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return render(*args)
+
+    monkeypatch.setattr(stacknash.cli, "_render_sweep", counted)
+    assert main(["figures", "--out", str(tmp_path), "--steps", "3"]) == 0
+    assert len(list(tmp_path.glob("*.csv"))) == len(FIGURE_SWEEPS) == 12
+    assert len(calls) == len(set(FIGURE_SWEEPS.values())) == 5
+
+
 # -- verify -------------------------------------------------------------------
 
 def test_verify_passes_and_reruns_identically(params_file, capsys):
@@ -236,6 +253,17 @@ def test_verify_tamper_fails(params_file, capsys, monkeypatch):
     assert payload["passed"] is False
     failed = {c["name"] for c in payload["checks"] if not c["passed"]}
     assert "fixed-point-residual" in failed
+
+
+def test_verify_passes_at_large_scale(tmp_path, capsys):
+    # an absolute fixed-point check of 1e-10 would fail this correct root,
+    # and a loading grid of step 1e-3 would not fit in memory
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(LARGE_SCALE))
+    assert main(["verify", "--params", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["equilibrium"]["residual"] > 1e-10
+    assert all(c["passed"] for c in payload["checks"])
 
 
 def test_verify_no_equilibrium(tmp_path):
@@ -321,14 +349,24 @@ def test_verify_past_the_float_range_writes_no_numpy_warning(
     assert all(line.startswith("[") for line in captured.err.splitlines())
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test-only oracle; importing it would cost most of a CLI call
+def _assert_cli_import_leaves_unloaded(module):
     src = str(Path(stacknash.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     subprocess.run(
         [sys.executable, "-c", "import sys, stacknash.cli; "
-         "assert 'scipy' not in sys.modules, 'scipy was imported'"],
+         f"assert {module!r} not in sys.modules, '{module} was imported'"],
         env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only oracle; importing it would cost most of a CLI call
+    _assert_cli_import_leaves_unloaded("scipy")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves verify's Monte Carlo alone; solve, sweep and figures
+    # would spend about half of a cold call importing it
+    _assert_cli_import_leaves_unloaded("numpy")
 
 
 def test_solve_path_modules_do_not_import_numpy():

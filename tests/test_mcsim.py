@@ -7,15 +7,14 @@ import pytest
 
 import stacknash.mcsim
 from stacknash import (DEFAULT_PARAMS, CessionPair, InvalidParams,
-                       PremiumPair, SimConfig, deviation_test,
-                       gaussian_utility_insurer, gaussian_utility_reinsurer,
-                       insurer_response, simulate_utilities, solve,
-                       value_insurer)
-from stacknash.mcsim import (_CHUNK, _ROWS, _insurer_margin, _laws,
+                       PremiumPair, insurer_response, solve, value_insurer)
+from stacknash.mcsim import (_CHUNK, _ROWS, SimConfig, _insurer_margin, _laws,
                              _utility, brownian_total_increments,
-                             insurer_terminal_moments)
+                             deviation_test, gaussian_utility_insurer,
+                             gaussian_utility_reinsurer,
+                             insurer_terminal_moments, simulate_utilities)
 
-from conftest import random_params, simplex_grid
+from conftest import LARGE_SCALE, random_params, simplex_grid
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +216,21 @@ def test_deviation_search_memory_is_a_few_row_blocks(default_eq):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 1001 ** 2
+
+
+def test_deviation_search_memory_does_not_grow_with_delta():
+    # the loading grid is coarsened to _LOADINGS points (512 KB per array);
+    # at step 1e-3 it would hold 3.5e10 points here, 280 GB per array
+    params = replace(DEFAULT_PARAMS, **LARGE_SCALE)
+    eq = solve(params)
+    tracemalloc.start()
+    try:
+        report = deviation_test(params, eq, grid_step=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1001 ** 2
+    assert report.improving_deviations == 0
 
 
 def _full_grid_margin(params, theta, p, step):

@@ -91,18 +91,44 @@ def test_finite_differences_at_any_scale(change):
     # ulp(output)/step is resolvable (up to 0.4 of it seen, 9.1e-4
     # relative; bound 4 of it).
     params = replace(DEFAULT_PARAMS, **change)
-    eq = solve(params)
-    outputs = (eq.theta_star.theta1, eq.theta_star.theta2,
-               eq.p_star.p1, eq.p_star.p2)
     for parameter in PARAMETERS:
         base = getattr(params, parameter)
         step = DEFAULT_STEP * base if base > 0.0 else DEFAULT_STEP
-        analytic = analytic_report(params, eq, parameter)
-        fd = finite_difference_report(params, parameter)
-        for name, output in zip(("d_theta1", "d_theta2", "d_p1", "d_p2"),
-                                outputs):
-            a, b = getattr(analytic, name), getattr(fd, name)
-            assert abs(a - b) <= 1e-8 * abs(a) + 4.0 * math.ulp(output) / step
+        _assert_fd_meets_analytic(params, parameter, step)
+
+
+def _assert_fd_meets_analytic(params, parameter, step):
+    # each output's finite difference within 1e-8 relative of the analytic
+    # value plus 4 ulps of the output over the step
+    eq = solve(params)
+    analytic = analytic_report(params, eq, parameter)
+    fd = finite_difference_report(params, parameter)
+    outputs = (eq.theta_star.theta1, eq.theta_star.theta2,
+               eq.p_star.p1, eq.p_star.p2)
+    for name, output in zip(("d_theta1", "d_theta2", "d_p1", "d_p2"),
+                            outputs):
+        a, b = getattr(analytic, name), getattr(fd, name)
+        assert abs(a - b) <= 1e-8 * abs(a) + 4.0 * math.ulp(output) / step
+
+
+@pytest.mark.parametrize("change, parameter, step", [
+    ({"lambda1": 0.3, "lambda2": (1.0 - 1e-6) / 0.3}, "lambda1",
+     DEFAULT_STEP * 0.3),
+    ({"lambda1": 0.3, "lambda2": (1.0 - 1e-6) / 0.3}, "lambda2",
+     DEFAULT_STEP * (1.0 - 1e-6) / 0.3),
+    ({"lambda1": 0.0, "lambda2": 1e5}, "lambda1", DEFAULT_STEP / 1e5),
+], ids=["eps-1e-6-lambda1", "eps-1e-6-lambda2", "lambda1-zero-lambda2-1e5"])
+def test_finite_differences_next_to_boundary(change, parameter, step):
+    # a central stencil of relative width DEFAULT_STEP at lambda1*lambda2 =
+    # 1 - 1e-6, and a forward one of width 2*DEFAULT_STEP at lambda1 = 0 <
+    # 1e5 = lambda2, would cross lambda1*lambda2 = 1. The one-sided
+    # difference looks back from the first and takes 1/lambda2 as the scale
+    # of the second; the bound is that of test_finite_differences_at_any_scale
+    # (up to 0.08 of it seen at eps = 1e-6 and 0.53 at lambda2 = 1e5). The
+    # delta differences there stay central and carry theta's forward error,
+    # about kappa = 1e6 ulps
+    _assert_fd_meets_analytic(replace(DEFAULT_PARAMS, **change), parameter,
+                              step)
 
 
 # 80-digit references at the double inputs: the root of phi1(phi2(t)) = t for

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from stacknash import (DEFAULT_PARAMS, NonpositivePremium, PremiumPair,
-                       SimConfig, f0_rate, gaussian_utility_insurer,
-                       gaussian_utility_reinsurer, premium_identity_gap,
-                       reinsurer_rate, simulate_utilities, solve,
+                       f0_rate, premium_identity_gap, reinsurer_rate, solve,
                        value_insurer, value_reinsurer, welfare_index)
+from stacknash.mcsim import (SimConfig, gaussian_utility_insurer,
+                             gaussian_utility_reinsurer, simulate_utilities)
 
 from conftest import random_params
 
