@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -205,6 +206,7 @@ def cmd_verify(args) -> int:
     return 0 if passed else 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stacknash",
@@ -214,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve the equilibrium for a parameter file")
     p_solve.add_argument("--params", required=True, help="JSON parameter file")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter, emit CSV")
     p_sweep.add_argument("--param", required=True, choices=sensitivity.PARAMETERS)
@@ -223,27 +224,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=int, default=50)
     p_sweep.add_argument("--params", help="JSON parameter file (default: built-in)")
     p_sweep.add_argument("--out", help="output CSV path (default: stdout)")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the oracle suite")
     p_verify.add_argument("--params", required=True)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--paths", type=int, default=100_000)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_figures = sub.add_parser("figures", help="emit every figure dataset as CSV")
     p_figures.add_argument("--out", required=True, help="output directory")
     p_figures.add_argument("--steps", type=int, default=50)
-    p_figures.set_defaults(func=cmd_figures)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; unreadable or invalid input exits with status 1."""
+    """Run one command; unreadable or invalid input exits with status 1.
+    The parser is built once per process; the command is looked up per call."""
     args = build_parser().parse_args(argv)
+    command = {"solve": cmd_solve, "sweep": cmd_sweep, "verify": cmd_verify,
+               "figures": cmd_figures}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (OSError, InvalidParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -42,12 +42,11 @@ def _phi_parameter_partial(side: ReinsurerSide, parameter: str,
                            x: float) -> float:
     """Partial of a reinsurer's best-response map in one behavioral
     parameter, at fixed argument x. Two of the five vanish identically."""
-    ps = phi_partials(side, x)
     own_delta, _ = side.own_rival("delta1", "delta2")
     _, rival_lambda = side.own_rival("lambda1", "lambda2")
-    partials = {"delta0": ps.d_delta0, own_delta: ps.d_delta_own,
-                rival_lambda: ps.d_lambda_rival}
-    return partials.get(parameter, 0.0)
+    name = {"delta0": "d_delta0", own_delta: "d_delta_own",
+            rival_lambda: "d_lambda_rival"}.get(parameter)
+    return 0.0 if name is None else getattr(phi_partials(side, x), name)
 
 
 def theta_sensitivity(params: ModelParams, eq: Equilibrium,

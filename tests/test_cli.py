@@ -182,6 +182,37 @@ def test_internal_error_is_not_reported_as_bad_input(params_file,
         main(["solve", "--params", str(params_file)])
 
 
+def test_parser_is_built_once_and_keeps_no_state(params_file, tmp_path,
+                                                 capsys):
+    # one parser serves every call in a process: a sweep, a rejected option,
+    # a solve and the same sweep again each exit as in a fresh process
+    assert stacknash.cli.build_parser() is stacknash.cli.build_parser()
+    sweep = ["sweep", "--param", "lambda1", "--from", "0.1", "--to", "0.9",
+             "--steps", "7", "--params", str(params_file), "--out"]
+    assert main(sweep + [str(tmp_path / "a.csv")]) == 0
+    with pytest.raises(SystemExit) as bad:
+        main(["sweep", "--param", "sigma", "--from", "1", "--to", "2"])
+    assert bad.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["solve", "--params", str(params_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["theta1"] > 0.0
+    assert main(sweep + [str(tmp_path / "b.csv")]) == 0
+    first = (tmp_path / "a.csv").read_bytes()
+    assert len(_rows(first.decode())) == 7
+    assert (tmp_path / "b.csv").read_bytes() == first
+
+
+def test_command_is_looked_up_per_call(params_file, monkeypatch):
+    # the shared parser holds no command function: a cmd_* replaced after it
+    # was built (as a tracer wraps it) is the one that runs
+    stacknash.cli.build_parser()
+    calls = []
+    monkeypatch.setattr(stacknash.cli, "cmd_solve",
+                        lambda args: calls.append(args.params) or 0)
+    assert main(["solve", "--params", str(params_file)]) == 0
+    assert calls == [str(params_file)]
+
+
 # -- figures ------------------------------------------------------------------
 
 def test_figures_outputs(tmp_path):

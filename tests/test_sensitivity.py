@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 
+import stacknash.sensitivity
 from stacknash import (DEFAULT_PARAMS, Method, ModelParams, analytic_report,
-                       finite_difference_report, reinsurer_side, solve,
-                       theta_sensitivity)
+                       finite_difference_report, phi_partials, reinsurer_side,
+                       solve, theta_sensitivity)
 from stacknash.bestresponse import _slope_and_inelasticity
 from stacknash.sensitivity import (DEFAULT_STEP, PARAMETERS,
                                    _phi_parameter_partial)
@@ -75,6 +76,62 @@ def test_unknown_parameter_rejected():
         theta_sensitivity(DEFAULT_PARAMS, eq, "sigma")
     with pytest.raises(ValueError):
         finite_difference_report(DEFAULT_PARAMS, "mu")
+
+
+@pytest.mark.parametrize("parameter, positions", [
+    ("delta0", [0, 1]), ("delta1", [0]), ("delta2", [1]), ("lambda1", [1]),
+    ("lambda2", [0]),
+])
+def test_phi_partials_evaluated_only_where_phi_contains_the_parameter(
+        parameter, positions, monkeypatch):
+    # phi_i contains delta0, its own delta and its rival's lambda; its
+    # partials in the other two are zero without an evaluation. positions:
+    # the sides (0 for reinsurer 1, 1 for reinsurer 2) evaluated, in order
+    calls = []
+
+    def counted(side, x):
+        calls.append(side.position)
+        return phi_partials(side, x)
+
+    monkeypatch.setattr(stacknash.sensitivity, "phi_partials", counted)
+    analytic_report(DEFAULT_PARAMS, solve(DEFAULT_PARAMS), parameter)
+    assert calls == positions
+
+
+def _every_partial_then_lookup(side, parameter, x):
+    """The partial selected after evaluating the whole PartialSet."""
+    ps = phi_partials(side, x)
+    own_delta, _ = side.own_rival("delta1", "delta2")
+    _, rival_lambda = side.own_rival("lambda1", "lambda2")
+    partials = {"delta0": ps.d_delta0, own_delta: ps.d_delta_own,
+                rival_lambda: ps.d_lambda_rival}
+    return partials.get(parameter, 0.0)
+
+
+def test_partial_selection_is_bit_identical(rng, monkeypatch):
+    # zero, one or both lambdas zero in turn; every partial and every report
+    # cell has the bits of the evaluate-everything rule
+    zeros = ((), ("lambda1",), ("lambda2",), ("lambda1", "lambda2"))
+    for k in range(60):
+        params = replace(random_params(rng),
+                         **{name: 0.0 for name in zeros[k % 4]})
+        eq = solve(params)
+        thetas = (eq.theta_star.theta2, eq.theta_star.theta1)
+        reports = []
+        for parameter in PARAMETERS:
+            for i, x in zip((1, 2), thetas):
+                side = reinsurer_side(params, i)
+                assert _phi_parameter_partial(side, parameter, x).hex() == \
+                    _every_partial_then_lookup(side, parameter, x).hex()
+            reports.append(analytic_report(params, eq, parameter))
+        with monkeypatch.context() as patch:
+            patch.setattr(stacknash.sensitivity, "_phi_parameter_partial",
+                          _every_partial_then_lookup)
+            for parameter, report in zip(PARAMETERS, reports):
+                expected = analytic_report(params, eq, parameter)
+                for name in ("d_theta1", "d_theta2", "d_p1", "d_p2"):
+                    assert getattr(report, name).hex() == \
+                        getattr(expected, name).hex()
 
 
 @pytest.mark.parametrize("change", [
