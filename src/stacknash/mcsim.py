@@ -12,11 +12,20 @@ Memory does not grow with the path count, the grid or the scale of delta: W(T)
 is drawn in chunks whose moments are merged pairwise (Chan, Golub and LeVeque
 1979), the cession simplex is searched by row blocks, and a loading grid holds
 at most _LOADINGS points.
+Past one chunk, a second thread draws the next chunk of W(T) from the same
+generator while this one computes the players' moments; numpy releases the
+GIL in both. The draws are split in two, so 2.5 chunk arrays suffice where a
+double buffer would hold three: the first half goes to a half-chunk array
+while the first two players use the scratch array, and the rest to the
+scratch array while the last player is computed in place in W(T). Draws made
+in turn are the draws of one batch, so every estimate keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +34,8 @@ from .bestresponse import ReinsurerSide, cession_shares, reinsurer_side
 from .model import (CessionPair, Equilibrium, InvalidParams, ModelParams,
                     PremiumPair)
 
-# paths per Monte Carlo chunk: 2 MB per float64 array. Kept at 2**18 or more,
+# paths per Monte Carlo chunk: 2 MB per float64 array, of which a run holds
+# 2.5 (W(T), scratch and the next chunk's first half). Kept at 2**18 or more,
 # as smaller arrays leave glibc's mmap threshold low and slow later
 # allocations of 1-2 MB in the same process
 _CHUNK = 1 << 18
@@ -41,6 +51,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("paths", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidParams((f"{name} must be an integer",)) from None
         if self.paths < 1:
             raise InvalidParams(("paths must be at least 1",))
         if not 0 <= self.seed < 2 ** 128:  # the Philox key range
@@ -134,42 +149,85 @@ def _laws(params: ModelParams, theta: PremiumPair, p: CessionPair) -> dict:
     return laws
 
 
+def _draw(rng: np.random.Generator, scale: float, out: np.ndarray) -> None:
+    """The next len(out) values of W(T) from ``rng``, in place."""
+    rng.standard_normal(out=out)
+    out *= scale
+
+
+def _drawing(rng: np.random.Generator, scale: float,
+             out: np.ndarray) -> threading.Thread:
+    """``_draw`` started on a second thread. numpy releases the GIL while it
+    draws and scales, and neither can raise into a preallocated array."""
+    thread = threading.Thread(target=_draw, args=(rng, scale, out))
+    thread.start()
+    return thread
+
+
+def _chunk_moments(delta: float, mean: float, diffusion: float,
+                   w: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    """Sum and sum of squared deviations of one player's utility samples
+    -exp(delta*(diffusion*w - mean))/delta, computed in place in ``u``,
+    which may be ``w`` itself. inf and NaN carry into the moments, where no
+    check passes on them."""
+    np.multiply(diffusion, w, out=u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u -= mean
+        u *= delta
+        np.exp(u, out=u)
+        np.negative(u, out=u)
+        u /= delta
+        total = float(u.sum())
+        u -= total / len(u)
+        u *= u
+        return total, float(u.sum())
+
+
 def simulate_utilities(params: ModelParams, theta: PremiumPair,
                        p: CessionPair, config: SimConfig) -> dict[str, SimReport]:
     """Seeded Monte Carlo estimates of each player's expected utility under
     constant strategies; keys 'insurer', 'reinsurer1', 'reinsurer2'. Draws
     the same W(T) as ``brownian_total_increments`` in chunks of _CHUNK
-    paths."""
+    paths; past one chunk, a second thread draws the next chunk while this
+    thread computes the players' moments of the current one."""
     laws = _laws(params, theta, p)
+    *scratch_laws, last_law = laws.values()
     # per player: paths, sum and sum of squared deviations so far
     moments = dict.fromkeys(laws, (0, 0.0, 0.0))
     rng, scale = _philox(config), math.sqrt(params.horizon)
-    w = np.empty(min(_CHUNK, config.paths))  # W(T) of one chunk
-    u = np.empty_like(w)  # one player's utility samples, then deviations
-    for start in range(0, config.paths, _CHUNK):
-        k = min(_CHUNK, config.paths - start)
-        w, u = w[:k], u[:k]  # shorter only for the last chunk
-        rng.standard_normal(out=w)
-        w *= scale
-        for player, (delta, mean, diffusion) in laws.items():
-            # u = -exp(delta*(diffusion*w - mean))/delta, in place; inf and
-            # NaN carry into the moments, where no check passes on them
-            np.multiply(diffusion, w, out=u)
-            with np.errstate(over="ignore", invalid="ignore"):
-                u -= mean
-                u *= delta
-                np.exp(u, out=u)
-                np.negative(u, out=u)
-                u /= delta
-                total = float(u.sum())
-                u -= total / k
-                u *= u
-                squares = float(u.sum())
-            n, s, m2 = moments[player]
-            # the pairwise update; float arithmetic carries inf and NaN
-            gap = total / k - s / n if n else 0.0
-            moments[player] = (n + k, s + total,
-                               m2 + squares + gap * gap * (n * k / (n + k)))
+    paths = config.paths
+    w = np.empty(min(_CHUNK, paths))  # W(T) of this chunk
+    u = np.empty_like(w)  # scratch, then W(T) of the next chunk
+    # the first draws of the next chunk, made while u is still scratch
+    half = np.empty(_CHUNK // 2) if paths > _CHUNK else None
+    _draw(rng, scale, w)
+    drawer = None
+    try:
+        for start in range(0, paths, _CHUNK):
+            k = min(_CHUNK, paths - start)
+            after = min(_CHUNK, paths - start - k)  # the next chunk's paths
+            h = min(_CHUNK // 2, after)
+            if h:
+                drawer = _drawing(rng, scale, half[:h])
+            sums = [_chunk_moments(*law, w[:k], u[:k]) for law in scratch_laws]
+            if after > h:
+                drawer.join()
+                drawer = _drawing(rng, scale, u[h:after])
+            # the last player's samples overwrite this chunk's W(T)
+            sums.append(_chunk_moments(*last_law, w[:k], w[:k]))
+            for player, (total, squares) in zip(laws, sums):
+                n, s, m2 = moments[player]
+                # the pairwise update; float arithmetic carries inf and NaN
+                gap = total / k - s / n if n else 0.0
+                moments[player] = (n + k, s + total,
+                                   m2 + squares + gap * gap * (n * k / (n + k)))
+            if h:
+                drawer.join()
+                u[:h] = half[:h]
+                w, u = u, w
+    finally:
+        if drawer is not None:
+            drawer.join()
     reports = {}
     for player, (n, s, m2) in moments.items():
         spread = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
@@ -230,7 +288,9 @@ def deviation_test(params: ModelParams, eq: Equilibrium,
     reinsurer over its loading range (0, delta_i + delta0/2] given the
     rival's loading and the insurer's responsive cession. The loading grid
     is coarsened past _LOADINGS points, so its memory does not grow with
-    delta."""
+    delta. ``grid_step`` must lie in (0, 1]."""
+    if not 0.0 < grid_step <= 1.0:  # NaN fails this too
+        raise InvalidParams(("grid_step must lie in (0, 1]",))
     theta = eq.theta_star
     margins = (_insurer_margin(params, theta, eq.p_star, grid_step),
                _reinsurer_margin(params, theta, 1, grid_step),

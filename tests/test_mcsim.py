@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -205,6 +206,86 @@ def test_simulation_memory_does_not_grow_with_paths(default_eq):
         assert peak < 3 * 8 * _CHUNK, paths
 
 
+def _serial_reports(params, theta, p, config):
+    # the chunk loop drawn and reduced on one thread: each chunk's W(T) from
+    # one carried Philox generator, then its moments merged pairwise
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    laws = _laws(params, theta, p)
+    moments = dict.fromkeys(laws, (0, 0.0, 0.0))
+    for start in range(0, config.paths, _CHUNK):
+        k = min(_CHUNK, config.paths - start)
+        w = math.sqrt(params.horizon) * rng.standard_normal(k)
+        for player, (delta, mean, diffusion) in laws.items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                samples = -np.exp(delta * (diffusion * w - mean)) / delta
+                total = float(samples.sum())
+                squares = float(np.square(samples - total / k).sum())
+            n, s, m2 = moments[player]
+            gap = total / k - s / n if n else 0.0
+            moments[player] = (n + k, s + total,
+                               m2 + squares + gap * gap * (n * k / (n + k)))
+    return {player: (s / n, (math.sqrt(m2 / (n - 1)) if n > 1 else 0.0)
+                     / math.sqrt(n))
+            for player, (n, s, m2) in moments.items()}
+
+
+@pytest.mark.parametrize("paths", [
+    _CHUNK + 5,                   # a last chunk shorter than half a chunk
+    _CHUNK + _CHUNK // 2 + 3,     # longer than half a chunk
+    2 * _CHUNK,                   # a whole chunk
+    3 * _CHUNK + 7])
+def test_drawn_ahead_chunks_match_serial_loop_bits(paths):
+    params = replace(DEFAULT_PARAMS, delta0=3.0, horizon=2.0)
+    eq = solve(params)
+    for seed in (0, 7, 123):
+        config = SimConfig(paths=paths, seed=seed)
+        reports = simulate_utilities(params, eq.theta_star, eq.p_star, config)
+        expected = _serial_reports(params, eq.theta_star, eq.p_star, config)
+        for player, (estimate, std_error) in expected.items():
+            report = reports[player]
+            assert (report.estimate.hex(), report.std_error.hex()) \
+                == (estimate.hex(), std_error.hex()), (seed, player)
+
+
+def test_drawer_thread_only_past_one_chunk(default_eq, monkeypatch):
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    args = (DEFAULT_PARAMS, default_eq.theta_star, default_eq.p_star)
+    for paths in (1, 100_000, _CHUNK):
+        simulate_utilities(*args, SimConfig(paths=paths, seed=3))
+    assert not started
+    simulate_utilities(*args, SimConfig(paths=2 * _CHUNK + 1, seed=3))
+    assert started  # the count sees the drawer where there is one
+
+
+def test_drawer_is_joined_when_the_arithmetic_raises(default_eq, monkeypatch):
+    # the fourth call is the first player of the second chunk, while the
+    # third chunk is being drawn
+    moments = stacknash.mcsim._chunk_moments
+    calls = []
+
+    def failing_on_the_second_chunk(*args):
+        calls.append(None)
+        if len(calls) == 4:
+            raise RuntimeError("arithmetic failed")
+        return moments(*args)
+
+    monkeypatch.setattr(stacknash.mcsim, "_chunk_moments",
+                        failing_on_the_second_chunk)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="arithmetic failed"):
+        simulate_utilities(DEFAULT_PARAMS, default_eq.theta_star,
+                           default_eq.p_star,
+                           SimConfig(paths=4 * _CHUNK, seed=3))
+    assert threading.active_count() == threads
+
+
 def test_deviation_search_memory_is_a_few_row_blocks(default_eq):
     # a search over the whole 1001 x 1001 cession grid at once holds arrays
     # of 8 MB each; its row blocks stay below one of them
@@ -285,6 +366,13 @@ def test_sim_config_validation():
         with pytest.raises(InvalidParams, match="seed"):
             SimConfig(seed=seed)
     SimConfig(seed=2 ** 128 - 1)
+    # a float would be cut to the integer below it, or fail inside numpy
+    for kwargs in ({"paths": 2.5}, {"paths": 1e5}, {"paths": math.nan},
+                   {"seed": 1.5}, {"seed": 1.0}):
+        name = next(iter(kwargs))
+        with pytest.raises(InvalidParams, match=f"{name} must be an integer"):
+            SimConfig(**kwargs)
+    SimConfig(paths=np.int64(5), seed=np.uint64(7))
 
 
 # -- deviation testing --------------------------------------------------------
@@ -303,6 +391,14 @@ def test_perturbed_equilibrium_is_rejected(default_eq):
     report = deviation_test(DEFAULT_PARAMS, fake, grid_step=1e-3)
     assert report.improving_deviations > 0
     assert report.reinsurer1_margin > 0.0
+
+
+def test_deviation_test_rejects_bad_grid_step(default_eq):
+    for step in (0.0, -1e-3, 1.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParams, match="grid_step"):
+            deviation_test(DEFAULT_PARAMS, default_eq, grid_step=step)
+    assert deviation_test(DEFAULT_PARAMS, default_eq,
+                          grid_step=1.0).improving_deviations == 0
 
 
 def test_zero_lambda_closed_form_passes_deviation_test():
