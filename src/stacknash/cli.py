@@ -8,12 +8,9 @@ of the inputs (and the seed, where applicable). Numbers in CSV output carry
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import sensitivity, valuation
@@ -24,6 +21,13 @@ from .model import (DEFAULT_PARAMS, Equilibrium, InvalidParams, ModelParams,
 
 SWEEP_HEADER = ("param", "theta1", "theta2", "p1", "p2", "f0_rate",
                 "f1_idx", "f2_idx", "dtheta1", "dtheta2", "dp1", "dp2")
+
+# One format per CSV line. %.12g never prints a comma, a quote or a line
+# break, so these are the bytes an RFC-4180 writer would give, CRLF included.
+_HEADER_LINE = ",".join(SWEEP_HEADER) + "\r\n"
+_ROW_FORMAT = ",".join(["%.12g"] * len(SWEEP_HEADER)) + "\r\n"
+_NO_EQUILIBRIUM_FORMAT = ("%.12g,no-equilibrium"
+                          + "," * (len(SWEEP_HEADER) - 2) + "\r\n")
 
 #: Figure name -> (swept parameter, range). Ranges span the default parameters
 #: with margin; lambda ranges stay clear of the existence boundary.
@@ -41,10 +45,6 @@ FIGURE_SWEEPS = {
     "fig_f_lambda1": ("lambda1", 0.02, 0.98),
     "fig_f_lambda2": ("lambda2", 0.02, 0.98),
 }
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _load_params(path: str) -> ModelParams:
@@ -85,20 +85,20 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _sweep_row(base: ModelParams, parameter: str, value: float) -> list[str]:
-    params = replace(base, **{parameter: value})
+def _sweep_row(base: ModelParams, parameter: str, value: float) -> str:
+    params = ModelParams(**{**vars(base), parameter: value})
     try:
         eq = solve(params)
     except NoEquilibrium:
-        return [_fmt(value), "no-equilibrium"] + [""] * (len(SWEEP_HEADER) - 2)
+        return _NO_EQUILIBRIUM_FORMAT % value
     report = sensitivity.analytic_report(params, eq, parameter)
-    return [_fmt(v) for v in (
+    return _ROW_FORMAT % (
         value, eq.theta_star.theta1, eq.theta_star.theta2,
         eq.p_star.p1, eq.p_star.p2, eq.f0_rate,
         valuation.welfare_index(params, eq, 1),
         valuation.welfare_index(params, eq, 2),
         report.d_theta1, report.d_theta2, report.d_p1, report.d_p2,
-    )]
+    )
 
 
 def _render_sweep(base: ModelParams, parameter: str, start: float,
@@ -108,12 +108,8 @@ def _render_sweep(base: ModelParams, parameter: str, start: float,
     if not start < stop:
         raise InvalidParams(("sweep range must satisfy from < to",))
     values = [start + (stop - start) * k / (steps - 1) for k in range(steps)]
-    rows = [_sweep_row(base, parameter, v) for v in values]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(SWEEP_HEADER)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    return _HEADER_LINE + "".join([_sweep_row(base, parameter, v)
+                                   for v in values])
 
 
 def cmd_sweep(args) -> int:
@@ -131,10 +127,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # render first: a rejected --steps leaves no directory behind
     texts = {spec: _render_sweep(DEFAULT_PARAMS, *spec, args.steps)
              for spec in dict.fromkeys(FIGURE_SWEEPS.values())}
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, spec in FIGURE_SWEEPS.items():
         (out_dir / f"{name}.csv").write_text(texts[spec])
     return 0

@@ -38,14 +38,22 @@ class SensitivityReport:
     method: Method
 
 
+#: (side position, parameter) -> the PartialSet field of phi's partial in
+#: it. phi_i contains delta0, its own delta and its rival's lambda; the
+#: partials in the other two parameters vanish identically.
+_PARTIAL_NAMES = {
+    (0, "delta0"): "d_delta0", (0, "delta1"): "d_delta_own",
+    (0, "lambda2"): "d_lambda_rival",
+    (1, "delta0"): "d_delta0", (1, "delta2"): "d_delta_own",
+    (1, "lambda1"): "d_lambda_rival",
+}
+
+
 def _phi_parameter_partial(side: ReinsurerSide, parameter: str,
                            x: float) -> float:
     """Partial of a reinsurer's best-response map in one behavioral
     parameter, at fixed argument x. Two of the five vanish identically."""
-    own_delta, _ = side.own_rival("delta1", "delta2")
-    _, rival_lambda = side.own_rival("lambda1", "lambda2")
-    name = {"delta0": "d_delta0", own_delta: "d_delta_own",
-            rival_lambda: "d_lambda_rival"}.get(parameter)
+    name = _PARTIAL_NAMES.get((side.position, parameter))
     return 0.0 if name is None else getattr(phi_partials(side, x), name)
 
 

@@ -43,6 +43,17 @@ def reinsurer_rate(params: ModelParams, theta: PremiumPair, i: int) -> float:
         * (-ti * tj + 0.5 * di * gap)
 
 
+def _own_delta_and_rate(params: ModelParams, eq: Equilibrium,
+                        i: int) -> tuple[float, float]:
+    """(delta_i, f_i rate) of reinsurer i (1 or 2), read by index: the
+    solved rates need no reinsurer side."""
+    if i == 1:
+        return params.delta1, eq.f1_rate
+    if i == 2:
+        return params.delta2, eq.f2_rate
+    raise ValueError(f"reinsurer index must be 1 or 2, got {i}")
+
+
 def value_insurer(params: ModelParams, eq: Equilibrium, t: float, x: float) -> float:
     """Insurer's equilibrium value -(1/d0)*exp(-d0*x + f0*(T-t)); negative,
     equal to -1/d0 at (t, x) = (T, 0), and -inf where exp overflows."""
@@ -57,11 +68,10 @@ def value_reinsurer(params: ModelParams, eq: Equilibrium, i: int,
                     t: float, y: float) -> float:
     """Reinsurer i's equilibrium value as a function of its relative
     performance y; -inf where exp overflows."""
-    side = reinsurer_side(params, i)
-    rate, _ = side.own_rival(eq.f1_rate, eq.f2_rate)
-    e = -side.own_delta * y + rate * (params.horizon - t)
+    delta, rate = _own_delta_and_rate(params, eq, i)
+    e = -delta * y + rate * (params.horizon - t)
     try:
-        return -math.exp(e) / side.own_delta
+        return -math.exp(e) / delta
     except OverflowError:
         return -math.inf
 
@@ -72,9 +82,8 @@ def welfare_index(params: ModelParams, eq: Equilibrium, i: int) -> float:
     Defined as the value rate stripped of the positive factor
     sigma^2*d0*d_i, so a larger index means lower reinsurer welfare.
     """
-    side = reinsurer_side(params, i)
-    rate, _ = side.own_rival(eq.f1_rate, eq.f2_rate)
-    return rate / (params.sigma ** 2 * params.delta0 * side.own_delta)
+    delta, rate = _own_delta_and_rate(params, eq, i)
+    return rate / (params.sigma ** 2 * params.delta0 * delta)
 
 
 def premium_identity_gap(params: ModelParams, theta: PremiumPair) -> float:

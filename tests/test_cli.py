@@ -1,6 +1,7 @@
 import ast
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,13 +13,16 @@ from pathlib import Path
 
 import pytest
 
+import stacknash.bestresponse
 import stacknash.cli
-from stacknash import (DEFAULT_PARAMS, NonpositiveInput, insurer_response,
-                       params_to_json, residual)
+from stacknash import (DEFAULT_PARAMS, NoEquilibrium, NonpositiveInput,
+                       analytic_report, insurer_response, params_to_json,
+                       reinsurer_side, residual, solve)
 from stacknash.cli import FIGURE_SWEEPS, SWEEP_HEADER, main
 from stacknash.mcsim import _CHUNK
+from stacknash.sensitivity import PARAMETERS
 
-from conftest import LARGE_SCALE
+from conftest import LARGE_SCALE, random_params
 
 # sha256 of each `figures --steps 12` file, frozen from a verified run. The
 # p, theta and f figures of one parameter render the same sweep, hence the
@@ -34,6 +38,21 @@ FIGURE_DIGESTS_STEPS_12 = {
               "6eaa299fc3460a3d4a4fd8166a1dc5d4",
     "delta2": "b33d34c492dfec35285d23dfd09c4d82"
               "640833a8647cf1443cdf2590ae40428a",
+}
+
+# The same for `figures --steps 50`, the step count of the benchmark's
+# sweeps, frozen from the csv.writer renderer.
+FIGURE_DIGESTS_STEPS_50 = {
+    "lambda1": "5eb05ec53f6a16693380c9d26028b4b9"
+               "c487f7242daa0f336684b1056836c398",
+    "lambda2": "0f2e34184dd2531850fc66b68712c804"
+               "cbb89a61ea080bf7d184dca03cf393e2",
+    "delta0": "3b94ac50e44a25405148351347a32d97"
+              "67814b8c36f1fc01259194fdd268a763",
+    "delta1": "5c745431a85c32963b18373283e3e42a"
+              "a2cd84a36588585cb53036abbb904425",
+    "delta2": "0f6caeb3d02466b0dd95731375a8c99d"
+              "44d67782487b712d0f790e3e03a717db",
 }
 
 
@@ -171,6 +190,71 @@ def test_sweep_to_file_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _reference_sweep(base, parameter, start, stop, steps):
+    """The sweep CSV as csv.writer printed it, with dataclasses.replace and
+    each welfare index computed through the reinsurer's side."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(SWEEP_HEADER)
+    for k in range(steps):
+        value = start + (stop - start) * k / (steps - 1)
+        params = replace(base, **{parameter: value})
+        try:
+            eq = solve(params)
+        except NoEquilibrium:
+            writer.writerow([f"{value:.12g}", "no-equilibrium"]
+                            + [""] * (len(SWEEP_HEADER) - 2))
+            continue
+        indices = []
+        for i in (1, 2):
+            side = reinsurer_side(params, i)
+            rate, _ = side.own_rival(eq.f1_rate, eq.f2_rate)
+            indices.append(rate / (params.sigma ** 2 * params.delta0
+                                   * side.own_delta))
+        report = analytic_report(params, eq, parameter)
+        writer.writerow([f"{x:.12g}" for x in (
+            value, eq.theta_star.theta1, eq.theta_star.theta2,
+            eq.p_star.p1, eq.p_star.p2, eq.f0_rate, *indices,
+            report.d_theta1, report.d_theta2, report.d_p1, report.d_p2)])
+    return buffer.getvalue()
+
+
+def test_sweep_bytes_match_the_csv_writer(rng):
+    # 60 seeded bases, one in four with lambda1 = 0, lambda2 = 0 or both;
+    # the lambda ranges cross lambda1*lambda2 = 1 on many of them
+    zeros = ((), ("lambda1",), ("lambda2",), ("lambda1", "lambda2"))
+    infeasible = 0
+    for k in range(60):
+        base = replace(random_params(rng, max_product=4.0),
+                       **{name: 0.0 for name in zeros[k % 4]})
+        for spec in dict.fromkeys(FIGURE_SWEEPS.values()):
+            text = stacknash.cli._render_sweep(base, *spec, 50)
+            assert text == _reference_sweep(base, *spec, 50), (base, spec)
+            infeasible += text.count("no-equilibrium")
+    assert infeasible > 0
+
+
+@pytest.mark.parametrize("parameter", PARAMETERS)
+def test_sweep_row_builds_at_most_six_sides(parameter, monkeypatch):
+    # two in solve, two in its rates and two in the sensitivities; the
+    # welfare indices read the solved rates without a side
+    built = []
+    original = stacknash.bestresponse.reinsurer_side
+
+    def counted(params, i):
+        built.append(i)
+        return original(params, i)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stacknash") \
+                and getattr(module, "reinsurer_side", None) is original:
+            monkeypatch.setattr(module, "reinsurer_side", counted)
+    value = getattr(DEFAULT_PARAMS, parameter)
+    row = stacknash.cli._sweep_row(DEFAULT_PARAMS, parameter, value)
+    assert "no-equilibrium" not in row
+    assert 0 < len(built) <= 6
+
+
 def test_internal_error_is_not_reported_as_bad_input(params_file,
                                                      monkeypatch):
     # exit 1 is for unreadable or invalid input; a defect keeps its traceback
@@ -235,6 +319,20 @@ def test_figures_outputs(tmp_path):
     assert main(["figures", "--out", str(out), "--steps", "12"]) == 0
     after = {p.name: p.read_bytes() for p in out.glob("*.csv")}
     assert before == after
+
+
+def test_figures_steps_50_digests(tmp_path):
+    assert main(["figures", "--out", str(tmp_path), "--steps", "50"]) == 0
+    for name, (parameter, _, _) in FIGURE_SWEEPS.items():
+        digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes())
+        assert digest.hexdigest() == FIGURE_DIGESTS_STEPS_50[parameter], name
+
+
+def test_figures_bad_steps_creates_no_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "dir"
+    assert main(["figures", "--out", str(out), "--steps", "1"]) == 1
+    assert "steps must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 def test_figures_render_each_distinct_sweep_once(tmp_path, monkeypatch):
@@ -398,6 +496,11 @@ def test_cli_import_leaves_numpy_unloaded():
     # numpy serves verify's Monte Carlo alone; solve, sweep and figures
     # would spend about half of a cold call importing it
     _assert_cli_import_leaves_unloaded("numpy")
+
+
+def test_cli_import_leaves_csv_unloaded():
+    # sweep rows are formatted by hand, one format string per line
+    _assert_cli_import_leaves_unloaded("csv")
 
 
 def test_solve_path_modules_do_not_import_numpy():

@@ -84,6 +84,15 @@ def test_reinsurer_rate_rejects_bad_index():
         reinsurer_rate(DEFAULT_PARAMS, PremiumPair(1.0, 1.0), 3)
 
 
+@pytest.mark.parametrize("i", [0, 3])
+def test_welfare_index_and_value_reject_bad_index(i):
+    eq = solve(DEFAULT_PARAMS)
+    with pytest.raises(ValueError, match="must be 1 or 2"):
+        welfare_index(DEFAULT_PARAMS, eq, i)
+    with pytest.raises(ValueError, match="must be 1 or 2"):
+        value_reinsurer(DEFAULT_PARAMS, eq, i, 0.0, 0.0)
+
+
 def test_value_functions_terminal_condition():
     eq = solve(DEFAULT_PARAMS)
     T = DEFAULT_PARAMS.horizon
