@@ -10,8 +10,8 @@ the Monte Carlo samples it exactly from Philox draws of W(T). For a given seed,
 the draws of a smaller batch are the first draws of a larger one.
 Memory does not grow with the path count, the grid or the scale of delta: W(T)
 is drawn in chunks whose moments are merged pairwise (Chan, Golub and LeVeque
-1979), the cession simplex is searched by row blocks, and a loading grid holds
-at most _LOADINGS points.
+1979), the cession search evaluates four points per row of the simplex, and a
+loading grid holds at most _LOADINGS points.
 Past one chunk, a second thread draws the next chunk of W(T) from the same
 generator while this one computes the players' moments; numpy releases the
 GIL in both. The draws are split in two, so 2.5 chunk arrays suffice where a
@@ -39,8 +39,6 @@ from .model import (CessionPair, Equilibrium, InvalidParams, ModelParams,
 # as smaller arrays leave glibc's mmap threshold low and slow later
 # allocations of 1-2 MB in the same process
 _CHUNK = 1 << 18
-# p1 rows of the cession grid per block of the insurer's deviation search
-_ROWS = 64
 # most loadings per reinsurer's deviation search: 512 KB per float64 array
 _LOADINGS = 1 << 16
 
@@ -175,8 +173,7 @@ def _chunk_moments(delta: float, mean: float, diffusion: float,
         u -= mean
         u *= delta
         np.exp(u, out=u)
-        np.negative(u, out=u)
-        u /= delta
+        u /= -delta
         total = float(u.sum())
         u -= total / len(u)
         u *= u
@@ -255,17 +252,19 @@ class DeviationReport:
 def _insurer_margin(params: ModelParams, theta: PremiumPair,
                     p: CessionPair, step: float) -> float:
     grid = np.arange(0.0, 1.0 + 0.5 * step, step)
-    block_max = []
+    d0 = params.delta0
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(grid), _ROWS):
-            p1, p2 = np.meshgrid(grid[start:start + _ROWS], grid, indexing="ij")
-            mask = p1 + p2 <= 1.0
-            mean, var = insurer_terminal_moments(params, theta,
-                                                 p1[mask], p2[mask])
-            block_max.append(_utility(params.delta0, mean, var)
-                             .max(initial=-np.inf))
+        # given p1, the exponent -d0*mean + d0*d0*var/2 of _insurer_law is
+        # convex in p2 and least at d0*(1 - p1)/(d0 + 2*theta2); the 4 grid
+        # points around it hold the row's maximum, up to rounding on flat rows
+        near = np.floor(d0 * (1.0 - grid) / (d0 + 2.0 * theta.theta2) / step)
+        cols = (near.astype(np.intp)[:, None] + np.arange(-1, 3)).ravel()
+        p1, p2 = np.repeat(grid, 4), grid.take(cols, mode="clip")
+        mask = p1 + p2 <= 1.0
+        mean, var = insurer_terminal_moments(params, theta, p1[mask], p2[mask])
+        utility = _utility(d0, mean, var)
     # np.max, unlike the builtin max, returns NaN if a candidate is NaN
-    return float(np.max(block_max)) - gaussian_utility_insurer(params, theta, p)
+    return float(np.max(utility)) - gaussian_utility_insurer(params, theta, p)
 
 
 def _reinsurer_margin(params: ModelParams, theta: PremiumPair,
@@ -284,11 +283,11 @@ def _reinsurer_margin(params: ModelParams, theta: PremiumPair,
 def deviation_test(params: ModelParams, eq: Equilibrium,
                    grid_step: float = 1e-3) -> DeviationReport:
     """Grid search for profitable unilateral deviations at a candidate
-    equilibrium: the insurer over the cession simplex given theta*, each
-    reinsurer over its loading range (0, delta_i + delta0/2] given the
-    rival's loading and the insurer's responsive cession. The loading grid
-    is coarsened past _LOADINGS points, so its memory does not grow with
-    delta. ``grid_step`` must lie in (0, 1]."""
+    equilibrium: the insurer over the cession simplex given theta*, at the
+    four grid points around each row's optimum; each reinsurer over its
+    loading range (0, delta_i + delta0/2], coarsened past _LOADINGS points
+    so its memory does not grow with delta, given the rival's loading and
+    the insurer's responsive cession. ``grid_step`` must lie in (0, 1]."""
     if not 0.0 < grid_step <= 1.0:  # NaN fails this too
         raise InvalidParams(("grid_step must lie in (0, 1]",))
     theta = eq.theta_star

@@ -9,7 +9,7 @@ import pytest
 import stacknash.mcsim
 from stacknash import (DEFAULT_PARAMS, CessionPair, InvalidParams,
                        PremiumPair, insurer_response, solve, value_insurer)
-from stacknash.mcsim import (_CHUNK, _ROWS, SimConfig, _insurer_margin, _laws,
+from stacknash.mcsim import (_CHUNK, SimConfig, _insurer_margin, _laws,
                              _utility, brownian_total_increments,
                              deviation_test, gaussian_utility_insurer,
                              gaussian_utility_reinsurer,
@@ -288,7 +288,8 @@ def test_drawer_is_joined_when_the_arithmetic_raises(default_eq, monkeypatch):
 
 def test_deviation_search_memory_is_a_few_row_blocks(default_eq):
     # a search over the whole 1001 x 1001 cession grid at once holds arrays
-    # of 8 MB each; its row blocks stay below one of them
+    # of 8 MB each. The search holds a few arrays of its 4 x 1001 cession
+    # candidates and of the 8,500-point loading grid (68 KB each)
     deviation_test(DEFAULT_PARAMS, default_eq, grid_step=1e-3)  # warm up
     tracemalloc.start()
     try:
@@ -296,7 +297,21 @@ def test_deviation_search_memory_is_a_few_row_blocks(default_eq):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 1001 ** 2
+    assert peak < 2 ** 20
+
+
+def test_deviation_search_evaluates_four_points_per_row(default_eq,
+                                                        monkeypatch):
+    moments = stacknash.mcsim.insurer_terminal_moments
+    points = []
+
+    def counting(params, theta, p1, p2):
+        points.append(np.size(p1))
+        return moments(params, theta, p1, p2)
+
+    monkeypatch.setattr(stacknash.mcsim, "insurer_terminal_moments", counting)
+    deviation_test(DEFAULT_PARAMS, default_eq, grid_step=1e-3)
+    assert 0 < sum(points) <= 4 * 1001
 
 
 def test_deviation_search_memory_does_not_grow_with_delta():
@@ -321,32 +336,61 @@ def _full_grid_margin(params, theta, p, step):
         - gaussian_utility_insurer(params, theta, p)
 
 
-@pytest.mark.parametrize("step, draws", [(1e-3, 8), (0.007, 40), (0.05, 40),
-                                         (0.0157, 40)])
-def test_row_blocks_match_full_grid(step, draws):
-    # grid lengths 1001, 143, 21 and 65 are not multiples of _ROWS; at
-    # 0.0157 the last row, p1 = 1.0048, lies outside the simplex alone in
-    # its block
-    assert len(np.arange(0.0, 1.0 + 0.5 * step, step)) % _ROWS
+def _wide_draw(rng, sigma_range):
+    # x0 in [-60, 60], sigma log-uniform, mu, c and the horizon varied, and
+    # the loadings off the equilibrium by a factor in [0.5, 2]
+    params = replace(random_params(rng), x0=rng.uniform(-60.0, 60.0),
+                     sigma=10.0 ** rng.uniform(*np.log10(sigma_range)),
+                     mu=rng.uniform(0.0, 10.0), c=rng.uniform(0.0, 10.0),
+                     horizon=10.0 ** rng.uniform(-1.0, 1.0))
+    theta = solve(params).theta_star
+    theta = PremiumPair(theta.theta1 * rng.uniform(0.5, 2.0),
+                        theta.theta2 * rng.uniform(0.5, 2.0))
+    return params, theta, insurer_response(params.delta0, theta)
+
+
+@pytest.mark.parametrize("step, draws", [(1e-3, 8), (0.007, 40), (0.0157, 40),
+                                         (0.05, 40), (0.3, 40), (1.0, 40)])
+def test_row_windows_match_full_grid(step, draws):
+    # the same bits as the whole grid, or NaN in both. At 0.0157 the last
+    # row, p1 = 1.0048, lies outside the simplex; at 1.0 the grid is {0, 1}
+    cases = []
+    for params in (replace(DEFAULT_PARAMS, delta0=200.0, horizon=5.0),
+                   replace(DEFAULT_PARAMS, **LARGE_SCALE)):  # overflow, scale
+        eq = solve(params)
+        cases.append((params, eq.theta_star, eq.p_star))
     rng = np.random.default_rng(2024)
-    for _ in range(draws):
-        params = random_params(rng)
-        theta = solve(params).theta_star
-        theta = PremiumPair(theta.theta1 * rng.uniform(0.5, 2.0),
-                            theta.theta2 * rng.uniform(0.5, 2.0))
-        p = insurer_response(params.delta0, theta)
-        assert _insurer_margin(params, theta, p, step) \
-            == _full_grid_margin(params, theta, p, step)
+    cases += [_wide_draw(rng, (1e-4, 10.0)) for _ in range(draws)]
+    for params, theta, p in cases:
+        assert _insurer_margin(params, theta, p, step).hex() \
+            == _full_grid_margin(params, theta, p, step).hex(), params
+
+
+@pytest.mark.parametrize("step", [1e-3, 0.007, 0.05])
+def test_flat_rows_lose_only_rounding_noise(step):
+    # with sigma near 1e-7 a grid step moves the insurer's exponent by less
+    # than its rounding, and a row's utilities are flat but for noise. The
+    # full grid can then find a maximum away from the row's optimum, larger
+    # by about one unit of the exponent's rounding; the windows never larger
+    rng = np.random.default_rng(7)
+    for _ in range(10 if step == 1e-3 else 100):
+        params, theta, p = _wide_draw(rng, (1e-8, 1e-6))
+        window = _insurer_margin(params, theta, p, step)
+        full = _full_grid_margin(params, theta, p, step)
+        if window.hex() != full.hex():
+            oracle = gaussian_utility_insurer(params, theta, p)
+            assert window < full <= window + 1e-12 * abs(oracle), params
 
 
 def test_nan_candidate_counts_as_improving(default_eq, monkeypatch):
-    # one NaN candidate in a late block, after finite block maxima; the
-    # builtin max would skip it
+    # one NaN at the last candidate, in the last row and after finite
+    # candidates; the builtin max would skip it
     moments = stacknash.mcsim.insurer_terminal_moments
 
     def nan_at_the_last_point(params, theta, p1, p2):
         mean, var = moments(params, theta, p1, p2)
-        if np.ndim(mean) and p1.min() > 0.9:
+        if np.ndim(mean):
+            assert p1[-1] > 0.9 and np.isfinite(mean).all()
             mean = mean.copy()
             mean[-1] = math.nan
         return mean, var
